@@ -10,7 +10,7 @@ import numpy as np
 
 from ._segments import segment_prod
 from .design import Design
-from .estimators import _mean_over_units, _treated_counts
+from .estimators import _check_lengths, _mean_over_units, _treated_counts
 from .graph import CausalGraph
 
 __all__ = [
@@ -33,25 +33,23 @@ def ht_tte(g: CausalGraph, Y, z, design: Design):
     neighborhoods, inverse-weighted by their design probabilities. Exactly
     unbiased under arbitrary neighborhood interference, but the indicators
     are almost always both zero once degrees are moderate."""
-    Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z)
-    if z.shape[-1] != g.n:
-        raise ValueError(f"treatment vector length {z.shape[-1]} != n = {g.n}")
-    if Y.shape != z.shape:
-        raise ValueError(f"outcomes shape {Y.shape} != treatments shape {z.shape}")
+    Y, z = _check_lengths(g, Y, z)
     p = design.probs
     prob_all = segment_prod(p[g.nb_flat], g.nb_off)
     prob_none = segment_prod((1.0 - p)[g.nb_flat], g.nb_off)
     counts = _treated_counts(g, z)
-    sizes = g.in_degrees
-    w = np.where(sizes > 0, (counts == sizes) / prob_all - (counts == 0) / prob_none, 0.0)
+    # an exposure that did not occur contributes 0, even where its
+    # probability underflows to 0 on a hub; empty neighborhoods give 1/1 - 1/1
+    all_t = counts == g.in_degrees
+    none_t = counts == 0
+    w = np.divide(all_t, prob_all, out=np.zeros(all_t.shape), where=all_t)
+    w -= np.divide(none_t, prob_none, out=np.zeros(none_t.shape), where=none_t)
     return _mean_over_units(Y * w, g.n)
 
 
 def dm_tte(Y, z) -> float:
     """Treated-group mean minus control-group mean."""
-    Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z)
+    Y, z = _check_lengths(None, Y, z)
     n_t = int(z.sum())
     if n_t == 0 or n_t == z.size:
         raise UndefinedEstimateError("difference-in-means needs both groups non-empty")
@@ -66,10 +64,8 @@ def dm_thresh_tte(g: CausalGraph, Y, z, thresh: float) -> float:
     """
     if not 0.0 <= thresh <= 1.0:
         raise ValueError("thresh must lie in [0, 1]")
-    Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.int64)
-    if z.size != g.n:
-        raise ValueError(f"treatment vector length {z.size} != n = {g.n}")
+    Y, z = _check_lengths(g, Y, z)
+    z = z.astype(np.int64)
     counts = _treated_counts(g, z)
     treated_nb = counts - z * g.has_self_loop  # treated units in N_i \ {i}
     size = g.in_degrees - g.has_self_loop
@@ -124,8 +120,8 @@ def ls_fit(g: CausalGraph, Y, z, beta: int, covariate: str = "count") -> Regress
     numerically singular, e.g. when z is constant."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    Y, z = _check_lengths(g, Y, z)
+    z = z.astype(np.float64)
     m = 2 * beta + 1
     if g.n < m:
         raise ValueError(f"underdetermined: n = {g.n} < {m} coefficients")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g = load_graph(args.graph)
-    Y = np.array([float(v) for v in open(args.outcomes).read().strip().split(",")])
+    Y = np.array([float(v) for v in Path(args.outcomes).read_text().strip().split(",")])
     z = load_treatment(args.treatment, g.n)
     if args.design_file:
         design = load_design(args.design_file)
@@ -121,7 +122,7 @@ def _cmd_estimate(args) -> int:
     cate_nodes: tuple[int, ...] = ()
     if args.demographic_file:
         cate_nodes = tuple(
-            int(line) for line in open(args.demographic_file).read().split() if line.strip()
+            int(line) for line in Path(args.demographic_file).read_text().split() if line.strip()
         )
     cfg = harness.ExperimentConfig(
         base_seed=0,

@@ -14,10 +14,17 @@ treatment effect whenever outcomes have interaction order at most beta.
 Companion estimators for the average (direct) treatment effect and for
 size-alpha interaction effects reuse the same weighting machinery.
 
-The hot paths never enumerate subsets: grouping the subset sum by size
-reduces every weight to prefix sums of elementary symmetric polynomials
-of per-neighbor factors, evaluated with a vectorized recurrence in
-O(d_in * beta) per node. One-argument functions accept a single
+Every weight is a sum over neighborhood subsets of size <= beta, and each
+such sum is read off one generating function over the neighbor slots,
+
+    prod_{j in N_i} (1 + s x_j + t h_j),
+
+whose coefficient of s^a t^b is E[a][b]. One kernel, _esp2, folds the
+gathered neighbor slots through that product and returns one row E[alpha]:
+the SNIPE weight sums the t-series of two alpha=0 rows, the direct effect
+takes the alpha=0 row with the self slot removed, and the size-alpha effect
+takes row alpha. No subset is ever enumerated; a draw costs
+O(n * d_in * (alpha + 1) * beta). One-argument functions accept a single
 assignment of shape (n,) or a batch (m, n).
 """
 from __future__ import annotations
@@ -86,45 +93,69 @@ def snipe_weight(g: CausalGraph, i: int, z, design: Design, beta: int) -> float:
     return math.fsum(terms)
 
 
-def _esp_prefix_sum(g: CausalGraph, values: np.ndarray, beta: int) -> np.ndarray:
-    """sum_{k=1..beta} e_k over each node's in-neighborhood, where e_k is
-    the elementary symmetric polynomial of the gathered per-neighbor
-    values. values has shape (..., n); returns (..., n).
-
-    Neighbors are folded in canonical (ascending) order via
-    e_k <- e_k + v * e_{k-1}; padded slots carry 0 and are no-ops.
-    """
+def _gather(g: CausalGraph, values: np.ndarray) -> np.ndarray:
+    # (..., n) -> (..., n, d_in) neighbor slots in ascending order; padded
+    # slots read an appended 0, which the kernel treats as a no-op factor
     pad = np.concatenate([values, np.zeros(values.shape[:-1] + (1,))], axis=-1)
-    v = pad[..., g.nb_pad]  # (..., n, d_in)
-    base = np.ones(v.shape[:-1])
-    es = [base] + [np.zeros_like(base) for _ in range(beta)]
-    for c in range(v.shape[-1]):
-        vc = v[..., c]
-        for k in range(min(beta, c + 1), 0, -1):
-            es[k] += es[k - 1] * vc
-    total = es[1]
-    for k in range(2, beta + 1):
-        total = total + es[k]
-    return total
+    return pad[..., g.nb_pad]
+
+
+def _esp2(vx, vh: np.ndarray, alpha: int, bmax: int) -> list[np.ndarray]:
+    """Row alpha of the neighborhood generating function
+
+        prod_j (1 + s x_j + t h_j) = sum_{a, b} E[a][b] s^a t^b
+
+    over the gathered slots vx, vh of shape (..., n, d_in); returns
+    [E[alpha][0], ..., E[alpha][bmax]], each of shape (..., n). E[a][b]
+    sums prod_{T} x * prod_{V} h over disjoint slot sets |T| = a, |V| = b;
+    with alpha = 0 it is the elementary symmetric polynomial e_b(h) and vx
+    is not read. Slots are folded one at a time, updating the highest
+    (a, b) first so every update reads the previous fold; an entry whose
+    degree a + b exceeds the slots folded so far is still exactly 0 and
+    is skipped.
+    """
+    shape = vh.shape[:-1]
+    es = [[np.zeros(shape) for _ in range(bmax + 1)] for _ in range(alpha + 1)]
+    es[0][0] = np.ones(shape)
+    for c in range(vh.shape[-1]):
+        xc = vx[..., c] if alpha else None
+        hc = vh[..., c]
+        for a in range(alpha, -1, -1):
+            for b in range(min(bmax, c + 1 - a), -1, -1):
+                if a > 0:
+                    es[a][b] += xc * es[a - 1][b]
+                if b > 0:
+                    es[a][b] += hc * es[a][b - 1]
+    return es[alpha]
 
 
 def snipe_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
-    """All per-node weights at once; z of shape (n,) or (m, n)."""
+    """All per-node weights at once; z of shape (n,) or (m, n).
+
+    g(S) prod_S f splits into prod_S (1-p) f - prod_S (-p) f, so the weight
+    is sum_{b=1..beta} e_b((1-p) f) - e_b(-p f) over each neighborhood.
+    """
     if beta < 1:
         raise ValueError("beta must be >= 1")
     f = _centered_factors(z, design)
-    a = (1.0 - design.probs) * f
-    b = (-design.probs) * f
-    return _esp_prefix_sum(g, a, beta) - _esp_prefix_sum(g, b, beta)
+    e_plus = _esp2(None, _gather(g, (1.0 - design.probs) * f), 0, beta)
+    e_minus = _esp2(None, _gather(g, (-design.probs) * f), 0, beta)
+    return sum(e_plus[1:]) - sum(e_minus[1:])
 
 
-def _check_lengths(g: CausalGraph, Y, z) -> tuple[np.ndarray, np.ndarray]:
+def _check_lengths(g: CausalGraph | None, Y, z) -> tuple[np.ndarray, np.ndarray]:
+    """The input check of every public estimator: z holds 0/1 treatments
+    of length n (g.n, unless g is None), Y has z's shape and is finite."""
     Y = np.asarray(Y, dtype=np.float64)
     z = np.asarray(z)
-    if z.shape[-1] != g.n:
+    if g is not None and z.shape[-1] != g.n:
         raise ValueError(f"treatment vector length {z.shape[-1]} != n = {g.n}")
     if Y.shape != z.shape:
         raise ValueError(f"outcomes shape {Y.shape} != treatments shape {z.shape}")
+    if not ((z == 0) | (z == 1)).all():
+        raise ValueError("treatments must be 0 or 1")
+    if not np.isfinite(Y).all():
+        raise ValueError("outcomes must be finite")
     return Y, z
 
 
@@ -309,25 +340,10 @@ def _ate_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
     # weight factors as (-h_i/p_i) * sum_{k=0..beta-1} e_k(h on N_i \ {i})
     h = _h_factors(z, design)
     if beta == 1:
-        rest = np.ones(h.shape)
-    else:
-        pad = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
-        v = pad[..., g.nb_pad]
-        base = np.ones(v.shape[:-1])
-        es = [base] + [np.zeros_like(base) for _ in range(beta - 1)]
-        for c in range(v.shape[-1]):
-            vc = v[..., c]
-            for k in range(min(beta - 1, c + 1), 0, -1):
-                es[k] += es[k - 1] * vc
-        # peel the self term: e'_k = e_k - h_i e'_{k-1} over N_i \ {i};
-        # |h| <= max(1, p/(1-p)) keeps the recursion stable
-        peeled = [base]
-        for k in range(1, beta):
-            peeled.append(es[k] - h * peeled[k - 1])
-        rest = peeled[0]
-        for k in range(1, beta):
-            rest = rest + peeled[k]
-    return (-h / design.probs) * rest
+        return -h / design.probs
+    v = _gather(g, h)
+    v[..., g.nb_pad == np.arange(g.n)[:, None]] = 0.0
+    return (-h / design.probs) * sum(_esp2(None, v, 0, beta - 1))
 
 
 def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
@@ -356,33 +372,13 @@ def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
           prod_{j in U} (p_j - z_j)/(1 - p_j).
 
     Splitting U = T u V with V disjoint from T turns the double subset sum
-    into one bivariate symmetric-polynomial recurrence per node.
+    into row alpha of the neighborhood generating function with
+    x = -h/p on T and h on V, summed over |V| = 0..beta-alpha.
     """
     if not 1 <= alpha <= beta:
         raise ValueError("alpha must satisfy 1 <= alpha <= beta")
     Y, z = _check_lengths(g, Y, z)
     h = _h_factors(z, design)
     x = -h / design.probs  # factor for members of T
-    bmax = beta - alpha
-    padx = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-    padh = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
-    vx = padx[..., g.nb_pad]
-    vh = padh[..., g.nb_pad]
-    base = np.ones(vx.shape[:-1])
-    es = [[None] * (bmax + 1) for _ in range(alpha + 1)]
-    for a in range(alpha + 1):
-        for b in range(bmax + 1):
-            es[a][b] = base.copy() if (a == 0 and b == 0) else np.zeros_like(base)
-    for c in range(vx.shape[-1]):
-        xc = vx[..., c]
-        hc = vh[..., c]
-        for a in range(alpha, -1, -1):
-            for b in range(bmax, -1, -1):
-                if a > 0:
-                    es[a][b] += xc * es[a - 1][b]
-                if b > 0:
-                    es[a][b] += hc * es[a][b - 1]
-    w = es[alpha][0]
-    for b in range(1, bmax + 1):
-        w = w + es[alpha][b]
+    w = sum(_esp2(_gather(g, x), _gather(g, h), alpha, beta - alpha))
     return _mean_over_units(Y * w, g.n)

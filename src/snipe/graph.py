@@ -25,7 +25,8 @@ __all__ = [
 
 
 class CausalGraph:
-    """Immutable directed graph stored as per-node sorted in-neighbor lists.
+    """Immutable directed graph stored as CSR in-neighbor lists: N_i is
+    nb_flat[nb_off[i]:nb_off[i + 1]], sorted and duplicate-free.
 
     Args:
         in_neighbors: one sorted, duplicate-free array of in-neighbor
@@ -36,37 +37,33 @@ class CausalGraph:
 
     def __init__(self, in_neighbors: list[np.ndarray], self_loops: bool | None = None):
         self.n = len(in_neighbors)
-        nbrs = []
-        for i, nb in enumerate(in_neighbors):
-            nb = np.asarray(nb, dtype=np.int64)
-            if nb.size:
-                if nb.min() < 0 or nb.max() >= self.n:
-                    raise ValueError(f"neighbor index out of range for node {i}")
-                if np.any(np.diff(nb) <= 0):
-                    raise ValueError(f"in-neighbor list of node {i} must be sorted and duplicate-free")
-            nbrs.append(nb)
-        self.in_neighbors = nbrs
-
+        nbrs = [np.asarray(nb, dtype=np.int64) for nb in in_neighbors]
         self.nb_off = np.zeros(self.n + 1, dtype=np.int64)
         self.nb_off[1:] = np.cumsum([nb.size for nb in nbrs])
         self.nb_flat = np.concatenate(nbrs) if self.n else np.empty(0, dtype=np.int64)
-
         self.in_degrees = np.diff(self.nb_off)
+
+        row = np.repeat(np.arange(self.n), self.in_degrees)  # node owning each slot
+        bad = (self.nb_flat < 0) | (self.nb_flat >= self.n)
+        if bad.any():
+            raise ValueError(f"neighbor index out of range for node {row[bad.argmax()]}")
+        bad = (np.diff(self.nb_flat) <= 0) & (row[1:] == row[:-1])
+        if bad.any():
+            raise ValueError(f"in-neighbor list of node {row[bad.argmax()]} must be sorted and duplicate-free")
+
         self.out_degrees = np.bincount(self.nb_flat, minlength=self.n)
         self.d_in = int(self.in_degrees.max()) if self.n else 0
         self.d_out = int(self.out_degrees.max()) if self.n else 0
         self.d_max = max(self.d_in, self.d_out)
 
         self.has_self_loop = np.zeros(self.n, dtype=bool)
-        for i, nb in enumerate(nbrs):
-            self.has_self_loop[i] = np.searchsorted(nb, i) < nb.size and nb[np.searchsorted(nb, i)] == i
+        self.has_self_loop[self.nb_flat[self.nb_flat == row]] = True
         self.self_loops = bool(self.has_self_loop.all()) if self_loops is None else bool(self_loops)
 
         # padded neighbor-index matrix for vectorized per-node reductions;
         # the sentinel column index n maps to a zero slot appended by callers
         self.nb_pad = np.full((self.n, max(self.d_in, 1)), self.n, dtype=np.int64)
-        for i, nb in enumerate(nbrs):
-            self.nb_pad[i, : nb.size] = nb
+        self.nb_pad[row, np.arange(row.size) - self.nb_off[row]] = self.nb_flat
         self._csr = None
 
     def in_csr(self):
@@ -83,7 +80,7 @@ class CausalGraph:
     def in_neighborhood(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n:
             raise IndexError(f"node {i} out of range [0, {self.n})")
-        return self.in_neighbors[i]
+        return self.nb_flat[self.nb_off[i] : self.nb_off[i + 1]]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list [(src, dst), ...] sorted lexicographically."""
@@ -93,16 +90,6 @@ class CausalGraph:
 
     def __repr__(self):
         return f"CausalGraph(n={self.n}, d_in={self.d_in}, d_out={self.d_out})"
-
-
-@dataclass
-class DependencyIndex:
-    """Per-node list M_i of units sharing at least one in-neighbor with i."""
-
-    members: list[np.ndarray]
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.members[i]
 
 
 def gen_erdos_renyi(n: int, p_edge: float, self_loops: bool = True, seed=0) -> CausalGraph:
@@ -137,32 +124,53 @@ def in_neighborhood(g: CausalGraph, i: int) -> np.ndarray:
     return g.in_neighborhood(i)
 
 
-def _out_adjacency(g: CausalGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (flat, offsets) of out-neighbor lists: out(k) = {i: k in N_i}."""
-    dst = np.repeat(np.arange(g.n), g.in_degrees)
-    order = np.argsort(g.nb_flat, kind="stable")
-    out_flat = dst[order]
-    out_off = np.zeros(g.n + 1, dtype=np.int64)
-    out_off[1:] = np.cumsum(np.bincount(g.nb_flat, minlength=g.n))
-    return out_flat, out_off
+@dataclass
+class DependencyIndex:
+    """All ordered pairs (i, j) whose in-neighborhoods overlap, j = i
+    included, sorted by (i, j).
+
+    Pair k shares the in-neighbors inter_flat[inter_off[k]:inter_off[k + 1]]
+    (ascending). Indexing gives M_i = {j : N_i intersects N_j}, the row
+    pair_j[row_off[i]:row_off[i + 1]].
+    """
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    inter_flat: np.ndarray
+    inter_off: np.ndarray
+    row_off: np.ndarray
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.pair_j[self.row_off[i] : self.row_off[i + 1]]
 
 
 def dependency_index(g: CausalGraph) -> DependencyIndex:
-    """Exact M_i = {i': N_i intersects N_i'} for every node."""
-    out_flat, out_off = _out_adjacency(g)
-    members = []
-    cap = g.d_in * g.d_out
-    for i in range(g.n):
-        nb = g.in_neighbors[i]
-        if nb.size == 0:
-            members.append(np.empty(0, dtype=np.int64))
-            continue
-        parts = [out_flat[out_off[k] : out_off[k + 1]] for k in nb]
-        m = np.unique(np.concatenate(parts))
-        if m.size > cap:
-            raise AssertionError(f"|M_{i}| = {m.size} exceeds d_in*d_out = {cap}")
-        members.append(m)
-    return DependencyIndex(members)
+    """Exact dependency pairs: every ordered pair of units with a shared
+    in-neighbor k, built from the out-lists out(k) = {i : k in N_i}, each
+    contributing all |out(k)|^2 of its pairs."""
+    dst = np.repeat(np.arange(g.n), g.in_degrees)
+    out_flat = dst[np.argsort(g.nb_flat, kind="stable")]
+    out_off = np.zeros(g.n + 1, dtype=np.int64)
+    out_off[1:] = np.cumsum(g.out_degrees)
+    # slot t of shared neighbor k's block is the pair (out(k)[t // c], out(k)[t % c])
+    c = g.out_degrees
+    wk = np.repeat(np.arange(g.n), c * c)
+    t = np.arange(wk.size) - np.repeat(np.cumsum(c * c) - c * c, c * c)
+    wi = out_flat[out_off[wk] + t // c[wk]]
+    wj = out_flat[out_off[wk] + t % c[wk]]
+    order = np.lexsort((wk, wj, wi))
+    wi, wj, wk = wi[order], wj[order], wk[order]
+    boundary = np.ones(wi.size, dtype=bool)
+    boundary[1:] = (wi[1:] != wi[:-1]) | (wj[1:] != wj[:-1])
+    starts = np.flatnonzero(boundary)
+    pair_i = wi[starts]
+    return DependencyIndex(
+        pair_i=pair_i,
+        pair_j=wj[starts],
+        inter_flat=wk,
+        inter_off=np.append(starts, wi.size),
+        row_off=np.searchsorted(pair_i, np.arange(g.n + 1)),
+    )
 
 
 def save_graph(g: CausalGraph, path) -> None:

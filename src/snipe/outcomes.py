@@ -57,7 +57,7 @@ class OutcomesModel:
         self.graph = graph
         self.terms: list[dict[Subset, float]] = []
         for i, tmap in enumerate(terms):
-            nb = set(graph.in_neighbors[i].tolist())
+            nb = set(graph.in_neighborhood(i).tolist())
             clean: dict[Subset, float] = {}
             for subset, coeff in tmap.items():
                 key = tuple(int(v) for v in subset)
@@ -193,7 +193,7 @@ def gen_experiment_model(
 
     terms: list[dict[Subset, float]] = []
     for i in range(n):
-        nb = g.in_neighbors[i]
+        nb = g.in_neighborhood(i)
         w = np.where(nb == i, c_self[i], v[nb] * g.in_degrees[i] / denom[nb])
         tmap: dict[Subset, float] = {(): float(c_base[i])}
         for j, wj in zip(nb.tolist(), w.tolist()):

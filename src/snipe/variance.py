@@ -12,8 +12,8 @@ import numpy as np
 
 from ._segments import segment_prod
 from .design import Design
-from .estimators import snipe_weights
-from .graph import CausalGraph, _out_adjacency
+from .estimators import _check_lengths, snipe_weights
+from .graph import CausalGraph, DependencyIndex, dependency_index
 from .outcomes import OutcomesModel
 
 __all__ = [
@@ -39,55 +39,28 @@ def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Desi
     return g.d_in * g.d_out * y_max**2 / g.n * inner**beta
 
 
-class _PairIndex:
-    """Dependency-pair structure: all ordered pairs (i, j) with overlapping
-    in-neighborhoods (including j = i), each with its intersection members
-    laid out flat for per-draw segment products."""
-
-    def __init__(self, g: CausalGraph):
-        out_flat, out_off = _out_adjacency(g)
-        chunks_i, chunks_j, chunks_k = [], [], []
-        for k in range(g.n):
-            members = out_flat[out_off[k] : out_off[k + 1]]
-            c = members.size
-            if c == 0:
-                continue
-            chunks_i.append(np.repeat(members, c))
-            chunks_j.append(np.tile(members, c))
-            chunks_k.append(np.full(c * c, k, dtype=np.int64))
-        if chunks_i:
-            wi = np.concatenate(chunks_i)
-            wj = np.concatenate(chunks_j)
-            wk = np.concatenate(chunks_k)
-        else:
-            wi = wj = wk = np.empty(0, dtype=np.int64)
-        order = np.lexsort((wk, wj, wi))
-        wi, wj, wk = wi[order], wj[order], wk[order]
-        boundary = np.ones(wi.size, dtype=bool)
-        if wi.size:
-            boundary[1:] = (wi[1:] != wi[:-1]) | (wj[1:] != wj[:-1])
-        starts = np.flatnonzero(boundary)
-        self.pair_i = wi[starts]
-        self.pair_j = wj[starts]
-        self.inter_flat = wk
-        self.inter_off = np.append(starts, wi.size)
-        self.inter_size = np.diff(self.inter_off)
-        # K_i = sum_{j in M_i} (2^{|N_j|} - 2^{|N_j \ N_i|}) for the inflated
-        # diagonal-style term; |N_j \ N_i| = |N_j| - |intersection|
-        nj = g.in_degrees[self.pair_j].astype(np.float64)
-        k_pair = 2.0**nj - 2.0 ** (nj - self.inter_size)
-        self.k_node = np.bincount(self.pair_i, weights=k_pair, minlength=g.n)
+_pair_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()
 
 
-_pair_cache: "weakref.WeakKeyDictionary[CausalGraph, _PairIndex]" = weakref.WeakKeyDictionary()
-
-
-def _pair_index(g: CausalGraph) -> _PairIndex:
-    idx = _pair_cache.get(g)
-    if idx is None:
-        idx = _PairIndex(g)
-        _pair_cache[g] = idx
-    return idx
+def _pair_index(g: CausalGraph) -> tuple[DependencyIndex, np.ndarray]:
+    """The graph's dependency pairs with the per-node inflation weights
+    K_i = sum_{j in M_i} (2^{|N_j|} - 2^{|N_j \\ N_i|}), cached per graph."""
+    cached = _pair_cache.get(g)
+    if cached is None:
+        idx = dependency_index(g)
+        # |N_j \ N_i| = |N_j| - |intersection|
+        nj = g.in_degrees[idx.pair_j].astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_pair = 2.0**nj - 2.0 ** (nj - np.diff(idx.inter_off))
+        k_node = np.bincount(idx.pair_i, weights=k_pair, minlength=g.n)
+        if not np.isfinite(k_node).all():
+            raise ValueError(
+                f"conservative_variance: in-degree {g.d_in} is too large, the 2^|N_j| "
+                "inflation term overflows float64 from in-degree 1024 on"
+            )
+        cached = (idx, k_node)
+        _pair_cache[g] = cached
+    return cached
 
 
 def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
@@ -101,13 +74,8 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     over draws (not any single draw) is guaranteed to upper-bound the true
     variance. Accepts z of shape (n,) or (m, n).
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z)
-    if z.shape[-1] != g.n:
-        raise ValueError(f"treatment vector length {z.shape[-1]} != n = {g.n}")
-    if Y.shape != z.shape:
-        raise ValueError(f"outcomes shape {Y.shape} != treatments shape {z.shape}")
-    idx = _pair_index(g)
+    Y, z = _check_lengths(g, Y, z)
+    idx, k_node = _pair_index(g)
     w = snipe_weights(g, z, design, beta)
     yw = Y * w
     u = np.where(np.asarray(z) == 1, design.probs, 1.0 - design.probs)
@@ -115,7 +83,7 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     q = segment_prod(u[..., idx.inter_flat], idx.inter_off)
     term1 = (yw[..., idx.pair_i] * yw[..., idx.pair_j] * (1.0 - q)).sum(axis=-1)
     p_node = segment_prod(u[..., g.nb_flat], g.nb_off)
-    term2 = (p_node * yw * yw * idx.k_node).sum(axis=-1)
+    term2 = (p_node * yw * yw * k_node).sum(axis=-1)
     out = (term1 + term2) / (g.n * g.n)
     return float(out) if np.ndim(out) == 0 else out
 

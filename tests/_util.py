@@ -2,6 +2,7 @@
 reference implementations used as cross-checks."""
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -33,13 +34,29 @@ def subset_weight_reference(g, i, z, design, beta):
     p = design.probs
     z = np.asarray(z)
     total = 0.0
-    nb = g.in_neighbors[i].tolist()
+    nb = g.in_neighborhood(i).tolist()
     for k in range(1, min(beta, len(nb)) + 1):
         for S in combinations(nb, k):
             gs = np.prod([1.0 - p[j] for j in S]) - np.prod([-p[j] for j in S])
             fac = np.prod([(z[j] - p[j]) / (p[j] * (1.0 - p[j])) for j in S])
             total += gs * fac
     return total
+
+
+def ate_weight_reference(g, i, z, design, beta):
+    """Literal subset-enumeration direct-effect weight: (-1/p_i) times the
+    sum over U in N_i with i in U, |U| <= beta, of prod_{j in U} h_j,
+    h_j = (p_j - z_j)/(1 - p_j); the terms are summed exactly."""
+    p = design.probs
+    z = np.asarray(z)
+    h = {j: (p[j] - z[j]) / (1.0 - p[j]) for j in g.in_neighborhood(i).tolist()}
+    others = [j for j in h if j != i]
+    terms = [
+        h[i] * float(np.prod([h[j] for j in V]))
+        for k in range(beta)
+        for V in combinations(others, k)
+    ]
+    return -math.fsum(terms) / p[i]
 
 
 def conservative_variance_reference(g, Y, z, design, beta):
@@ -53,7 +70,7 @@ def conservative_variance_reference(g, Y, z, design, beta):
     w = snipe_weights(g, z, design, beta)
     yw = np.asarray(Y) * w
     u = np.where(z == 1, p, 1.0 - p)
-    nbrs = [set(g.in_neighbors[i].tolist()) for i in range(n)]
+    nbrs = [set(g.in_neighborhood(i).tolist()) for i in range(n)]
     term1 = 0.0
     term2 = 0.0
     for i in range(n):

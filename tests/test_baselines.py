@@ -60,7 +60,7 @@ def test_ht_oracle_unbiased_without_low_order_structure():
         g = random_graph(rng, n, 0.5)
         terms = []
         for i in range(n):
-            nb = g.in_neighbors[i].tolist()
+            nb = g.in_neighborhood(i).tolist()
             tmap = {(): float(rng.uniform(0, 1))}
             from itertools import combinations
 

@@ -23,7 +23,17 @@ from snipe.estimators import subsets_up_to
 from snipe.oracle import exact_moments
 from snipe.outcomes import OutcomesModel
 
-from _util import graph_from_neighbors, random_design, random_graph, random_model, subset_weight_reference
+from snipe import conservative_variance, dm_thresh_tte, dm_tte, ht_tte, ls_fit
+from snipe.estimators import _ate_weights
+
+from _util import (
+    ate_weight_reference,
+    graph_from_neighbors,
+    random_design,
+    random_graph,
+    random_model,
+    subset_weight_reference,
+)
 
 
 # ---------------------------------------------------------------- subset_coeff
@@ -84,7 +94,7 @@ def test_weight_full_order_recovers_inverse_propensity_products():
         d = random_design(rng, n, lo=0.2, hi=0.8)
         z = sample(d, int(rng.integers(2**31)))
         i = int(rng.integers(n))
-        nb = g.in_neighbors[i]
+        nb = g.in_neighborhood(i)
         beta = max(len(nb), 1)
         want = np.prod(
             np.where(z[nb] == 1, 1.0 / d.probs[nb], 0.0)
@@ -346,10 +356,25 @@ def test_cate_singleton():
     d = uniform_design(6, 0.35)
     z = sample(d, 2)
     Y = evaluate(m, z)
-    from snipe.estimators import _ate_weights
-
     w = _ate_weights(g, z, d, 2)
     assert snipe_cate(g, Y, z, d, 2, [3]) == pytest.approx(Y[3] * w[3])
+
+
+def test_ate_weights_match_enumeration_near_p_one():
+    # under the all-control assignment every subset term is positive, so
+    # the literal sum has no cancellation and relative error is defined;
+    # sparse graphs give neighborhoods smaller than beta, where the exact
+    # higher-order sums over N_i \ {i} are 0 and a scheme that subtracts
+    # the self term back out amplifies its rounding by h_i <= 199 per order
+    rng = np.random.default_rng(21)
+    n = 8
+    z = np.zeros(n, dtype=np.int64)
+    for beta in (2, 3, 4):
+        for _ in range(10):
+            g = random_graph(rng, n, 0.3)
+            d = random_design(rng, n, lo=0.9, hi=0.995)
+            want = [ate_weight_reference(g, i, z, d, beta) for i in range(n)]
+            np.testing.assert_allclose(_ate_weights(g, z, d, beta), want, rtol=1e-13, atol=0)
 
 
 def test_cate_oracle_unbiasedness_random_demographics():
@@ -413,3 +438,40 @@ def test_te_alpha_oracle_unbiasedness():
                 batch=True,
             )
             assert abs(moments.mean - gt.te_alpha[alpha]) <= 1e-9
+
+
+# ------------------------------------------------------------- input checks
+
+_ESTIMATE = {
+    "snipe_tte": lambda g, Y, z, d: snipe_tte(g, Y, z, d, 1),
+    "snipe_tte_uniform": lambda g, Y, z, d: snipe_tte_uniform(g, Y, z, 0.4, 1),
+    "snipe_ate": lambda g, Y, z, d: snipe_ate(g, Y, z, d, 1),
+    "snipe_cate": lambda g, Y, z, d: snipe_cate(g, Y, z, d, 1, [0, 2]),
+    "snipe_te_alpha": lambda g, Y, z, d: snipe_te_alpha(g, Y, z, d, 1, 1),
+    "ht_tte": lambda g, Y, z, d: ht_tte(g, Y, z, d),
+    "dm_tte": lambda g, Y, z, d: dm_tte(Y, z),
+    "dm_thresh_tte": lambda g, Y, z, d: dm_thresh_tte(g, Y, z, 0.0),
+    "ls_fit": lambda g, Y, z, d: ls_fit(g, Y, z, 1),
+    "conservative_variance": lambda g, Y, z, d: conservative_variance(g, Y, z, d, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATE))
+def test_estimators_validate_inputs(name):
+    est = _ESTIMATE[name]
+    g = random_graph(np.random.default_rng(22), 6, 0.4)
+    d = uniform_design(6, 0.4)
+    z = np.array([1, 0, 1, 0, 1, 0])
+    Y = np.arange(6.0)
+    est(g, Y, z, d)
+    if name != "dm_tte":  # the one estimator without a graph
+        with pytest.raises(ValueError, match="length"):
+            est(g, Y[:5], z[:5], d)
+    with pytest.raises(ValueError, match="shape"):
+        est(g, Y[:5], z, d)
+    for bad_z in (np.full(6, 2), np.where(z == 1, 1, -1), z * 0.5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            est(g, Y, bad_z, d)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            est(g, np.where(z == 1, bad, Y), z, d)

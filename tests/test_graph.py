@@ -83,7 +83,7 @@ def test_dependency_index_matches_bruteforce():
     rng = np.random.default_rng(3)
     g = gen_erdos_renyi(200, 0.02, self_loops=bool(rng.integers(2)), seed=11)
     m = dependency_index(g)
-    sets = [set(g.in_neighbors[i].tolist()) for i in range(g.n)]
+    sets = [set(g.in_neighborhood(i).tolist()) for i in range(g.n)]
     for i in range(g.n):
         brute = [j for j in range(g.n) if sets[i] & sets[j]]
         assert m[i].tolist() == brute

@@ -178,7 +178,7 @@ def test_gen_model_influence_split_normalization():
                 received[subset[0]] += coeff
     for j in range(g.n):
         out_nonself = sum(
-            1 for i in range(g.n) if i != j and j in g.in_neighbors[i].tolist()
+            1 for i in range(g.n) if i != j and j in g.in_neighborhood(i).tolist()
         )
         if out_nonself:
             assert received[j] == pytest.approx(v[j], rel=1e-9)

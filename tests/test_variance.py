@@ -12,6 +12,7 @@ from snipe import (
     gen_erdos_renyi,
     gen_experiment_model,
     ground_truth,
+    ht_tte,
     make_report,
     sample,
     snipe_tte,
@@ -232,3 +233,17 @@ def test_ci_coverage_with_conservative_variance():
         lo, hi = confidence_interval(est, max(cons, 0.0), 0.05)
         hits += int(lo <= gt.tte <= hi)
     assert hits / reps >= 0.95
+
+
+def test_hub_of_in_degree_1500():
+    # prod p over the hub underflows to 0 and 2^|N_hub| overflows float64
+    n = 1500
+    g = graph_from_neighbors([range(n)] + [[i] for i in range(1, n)])
+    d = uniform_design(n, 0.5)
+    z = sample(d, 0)
+    Y = np.linspace(1.0, 2.0, n)
+    # the hub's all-treated and all-control exposures did not occur
+    want = math.fsum((Y * np.where(z == 1, 2.0, -2.0))[1:]) / n
+    assert ht_tte(g, Y, z, d) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="1024"):
+        conservative_variance(g, Y, z, d, 1)
