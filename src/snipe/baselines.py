@@ -147,7 +147,12 @@ def ls_tte(fit: RegressionFit, g: CausalGraph) -> float:
     fitted anonymous model: the count covariate extrapolates each unit to
     all non-self neighbors treated, the proportion covariate to 1."""
     if fit.covariate == "count":
-        sizes = (g.in_degrees - g.has_self_loop).astype(np.float64)
-        vals = [fit.predict(1.0, s) - fit.predict(0.0, 0.0) for s in sizes]
-        return math.fsum(vals) / g.n
+        # RegressionFit.predict(1.0, x) at every node's x at once, in the
+        # same order of operations, so the value matches a per-node loop
+        x = (g.in_degrees - g.has_self_loop).astype(np.float64)
+        c, beta = fit.coefficients, fit.beta
+        zero = np.zeros(g.n)
+        base = c[0] + sum((c[k] * x**k for k in range(1, beta + 1)), zero)
+        inter = c[beta + 1] + sum((c[beta + 1 + k] * x**k for k in range(1, beta)), zero)
+        return math.fsum(base + 1.0 * inter - fit.predict(0.0, 0.0)) / g.n
     return fit.predict(1.0, 1.0) - fit.predict(0.0, 0.0)

@@ -5,6 +5,12 @@ Each unit i carries a sparse map from subsets S of its in-neighborhood
 outcome is Y_i(z) = sum_S c[i][S] * prod_{j in S} z_j. Since the z_j are
 binary, any outcome function of at-most-beta-order interactions within
 the neighborhood takes this form.
+
+For evaluation a model caches its nonempty terms, grouped by node, as a
+sparse term-incidence matrix (terms x n, row t = the members of term t).
+A term's product is 1 exactly when its treated-member count reaches its
+size, so `evaluate` costs one sparse product with the treatments, one
+comparison and one per-node segment sum, for a single draw or a batch.
 """
 from __future__ import annotations
 
@@ -76,9 +82,12 @@ class OutcomesModel:
         return self.graph.n
 
     def _flat_terms(self):
-        # cached arrays for vectorized evaluation: nonempty terms grouped by
-        # node, plus the per-node constant from the empty subset
+        # cached for vectorized evaluation: the per-node constant from the
+        # empty subset, and the nonempty terms grouped by node as a sparse
+        # term-incidence matrix (row t holds the members of term t)
         if self._flat is None:
+            from scipy.sparse import csr_matrix
+
             const = np.zeros(self.n)
             coeffs, sizes, members, node_counts = [], [], [], np.zeros(self.n, dtype=np.int64)
             for i, tmap in enumerate(self.terms):
@@ -92,16 +101,14 @@ class OutcomesModel:
                     node_counts[i] += 1
             node_off = np.zeros(self.n + 1, dtype=np.int64)
             node_off[1:] = np.cumsum(node_counts)
-            mem_off = np.zeros(len(coeffs) + 1, dtype=np.int64)
+            sizes = np.asarray(sizes, dtype=np.int64)
+            mem_off = np.zeros(sizes.size + 1, dtype=np.int64)
             mem_off[1:] = np.cumsum(sizes)
-            self._flat = (
-                const,
-                np.asarray(coeffs, dtype=np.float64),
-                np.asarray(sizes, dtype=np.int64),
-                np.asarray(members, dtype=np.int64),
-                mem_off,
-                node_off,
+            incidence = csr_matrix(
+                (np.ones(mem_off[-1]), np.asarray(members, dtype=np.int64), mem_off),
+                shape=(sizes.size, self.n),
             )
+            self._flat = (const, np.asarray(coeffs, dtype=np.float64), sizes, incidence, node_off)
         return self._flat
 
 
@@ -116,21 +123,25 @@ class GroundTruth:
 
 
 def evaluate(model: OutcomesModel, z: np.ndarray) -> np.ndarray:
-    """Exact polynomial outcomes for one assignment (n,) or a batch (m, n)."""
-    z = np.asarray(z)
+    """Exact polynomial outcomes for one assignment (n,) or a batch (m, n).
+
+    The cached term-incidence matrix times the treatments counts each
+    term's treated members; a term is active when its count reaches its
+    size, and each node sums its active terms' coefficients onto its
+    constant. Raises ValueError for a wrong length or for a treatment
+    outside {0, 1}, which could otherwise reach a count without every
+    member being treated.
+    """
+    z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != model.n:
         raise ValueError(f"treatment vector length {z.shape[-1]} != n = {model.n}")
-    const, coeffs, sizes, members, mem_off, node_off = model._flat_terms()
+    if not ((z == 0.0) | (z == 1.0)).all():
+        raise ValueError("treatments must be 0 or 1")
+    const, coeffs, sizes, incidence, node_off = model._flat_terms()
     if coeffs.size == 0:
         return np.broadcast_to(const, z.shape).copy()
-    zf = np.asarray(z, dtype=np.float64)
-    gathered = zf[..., members]
-    # a subset's product over binary entries is 1 exactly when all members
-    # are treated, i.e. the within-subset treated count reaches the size;
-    # nonempty subsets make every mem_off segment nonempty
-    counts = np.add.reduceat(gathered, mem_off[:-1], axis=-1)
-    active = (counts == sizes).astype(np.float64)
-    return const + segment_sum(active * coeffs, node_off)
+    counts = (incidence @ z.T).T  # (terms,) or (m, terms); exact small integers
+    return const + segment_sum(np.where(counts == sizes, coeffs, 0.0), node_off)
 
 
 def expand_power(weights: dict[int, float], ell: int) -> dict[Subset, float]:

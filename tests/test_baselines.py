@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,17 @@ def test_ls_tte_count_hand_value():
     fit = ls_fit(g, Y, z, 1, "count")
     sizes = g.in_degrees - 1
     assert ls_tte(fit, g) == pytest.approx(c1 + c2 * float(sizes.mean()), abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_ls_tte_count_equals_per_node_predict(beta):
+    rng = np.random.default_rng(40 + beta)
+    g = random_graph(rng, 300, 0.05)
+    z = sample(uniform_design(300, 0.3), int(rng.integers(2**31)))
+    fit = ls_fit(g, rng.uniform(-1, 3, 300), z, beta, "count")
+    sizes = (g.in_degrees - g.has_self_loop).astype(np.float64)
+    want = math.fsum(fit.predict(1.0, s) - fit.predict(0.0, 0.0) for s in sizes) / g.n
+    assert ls_tte(fit, g) == want
 
 
 def test_ls_proportion_covariate_singleton_is_zero():

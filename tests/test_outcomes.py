@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,77 @@ def test_evaluate_length_mismatch():
     m = OutcomesModel(1, [{}], g)
     with pytest.raises(ValueError):
         evaluate(m, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("z", [[2, 0], [0.5, 1.5]])
+def test_evaluate_rejects_non_binary(z):
+    # each input brings term {0, 1}'s treated count to its size, 2, without
+    # both members being treated; the polynomial itself gives 0 here
+    g = graph_from_neighbors([[0, 1], [1]])
+    m = OutcomesModel(2, [{(0, 1): 5.0}, {}], g)
+    with pytest.raises(ValueError, match="treatments must be 0 or 1"):
+        evaluate(m, np.array(z))
+    with pytest.raises(ValueError, match="treatments must be 0 or 1"):
+        evaluate(m, np.array([z, [1, 1]]))
+
+
+def _literal_outcomes(m, z):
+    """Y_i(z) = fsum over S of c[S] * prod_{j in S} z_j, term by term."""
+    return np.array(
+        [math.fsum(c * math.prod(int(z[j]) for j in S) for S, c in tmap.items()) for tmap in m.terms]
+    )
+
+
+def _random_terms(rng, g, beta):
+    """Random signed coefficients on random subsets of each in-neighborhood;
+    about one node in five gets an empty map, one in five only a constant."""
+    terms = []
+    for i in range(g.n):
+        nb = g.in_neighborhood(i).tolist()
+        kind = rng.integers(5)
+        tmap = {} if kind == 0 else {(): float(rng.normal())}
+        if kind >= 2 and nb:
+            for _ in range(int(rng.integers(1, 8))):
+                k = int(rng.integers(1, min(beta, len(nb)) + 1))
+                S = tuple(sorted(rng.choice(nb, size=k, replace=False).tolist()))
+                tmap[S] = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+        terms.append(tmap)
+    return terms
+
+
+def _evaluate_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for beta in (1, 2, 3):
+        g = random_graph(rng, 12, 0.35)
+        cases.append(pytest.param(OutcomesModel(beta, _random_terms(rng, g, beta), g), id=f"random-beta{beta}"))
+        cases.append(pytest.param(random_model(rng, g, beta), id=f"benchmark-beta{beta}"))
+    g = graph_from_neighbors([[0, 1, 2], [], [0, 2], [3]])  # node 1: no in-neighbors
+    cases += [
+        pytest.param(OutcomesModel(2, [{(0, 2): -1.5, (1,): 2.0}, {(): 4.0}, {}, {}], g), id="empty-segments"),
+        pytest.param(OutcomesModel(1, [{(): 1.0}, {}, {(): -2.5}, {}], g), id="no-nonempty-terms"),
+        pytest.param(OutcomesModel(2, [{(0,): 1.0}, {(): 3.0}, {(0, 2): 2.0}, {(): 1.0}], g), id="constant-only-node"),
+        pytest.param(OutcomesModel(1, [{(): 0.5, (0,): -2.0}], graph_from_neighbors([[0]])), id="n1"),
+        pytest.param(OutcomesModel(1, [{(): 0.5}], graph_from_neighbors([[]])), id="n1-no-in-neighbors"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("m", _evaluate_cases())
+def test_evaluate_matches_literal_polynomial(m):
+    rng = np.random.default_rng(32)
+    n = m.n
+    Z = (rng.random((24, n)) < 0.5).astype(np.int64)
+    Z[0], Z[1] = 0, 1
+    abs_sum = np.array([math.fsum(abs(c) for c in tmap.values()) for tmap in m.terms])
+    for z in Z:
+        y = evaluate(m, z)
+        assert y.shape == (n,)
+        assert np.all(np.abs(y - _literal_outcomes(m, z)) <= 1e-13 * abs_sum)
+    batch = evaluate(m, Z)
+    assert batch.shape == Z.shape
+    assert np.array_equal(batch, np.stack([evaluate(m, z) for z in Z]))
+    assert np.array_equal(evaluate(m, Z.astype(bool)), batch)
 
 
 def test_model_validates_subsets():
