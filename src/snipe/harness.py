@@ -180,8 +180,7 @@ def _truth_ate(model, gt, cfg):
 
 
 def _truth_cate(model, gt, cfg):
-    D = cfg.cate_nodes
-    return math.fsum(model.terms[i].get((i,), 0.0) for i in D) / len(D)
+    return math.fsum(gt.direct[i] for i in cfg.cate_nodes) / len(cfg.cate_nodes)
 
 
 def _truth_te(model, gt, cfg):

@@ -6,16 +6,19 @@ outcome is Y_i(z) = sum_S c[i][S] * prod_{j in S} z_j. Since the z_j are
 binary, any outcome function of at-most-beta-order interactions within
 the neighborhood takes this form.
 
-For evaluation a model caches its nonempty terms, grouped by node, as a
-sparse term-incidence matrix (terms x n, row t = the members of term t).
-A term's product is 1 exactly when its treated-member count reaches its
-size, so `evaluate` costs one sparse product with the treatments, one
-comparison and one per-node segment sum, for a single draw or a batch.
+A model keeps its terms once, as flat arrays grouped by node, with the
+nonempty terms as a sparse term-incidence matrix (terms x n, row t = the
+members of term t); dicts appear only at the constructor and in
+`OutcomesModel.terms`, for the JSON file format. A term's product is 1
+exactly when its treated-member count reaches its size, so `evaluate` is
+one sparse product, one comparison and one per-node segment sum.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,104 +47,114 @@ Subset = tuple[int, ...]
 
 
 class OutcomesModel:
-    """Sparse per-node subset-coefficient maps of order at most beta.
+    """Sparse per-node subset-coefficient maps of order at most beta, kept
+    as flat arrays: `const` (the empty-subset coefficients), the nonempty
+    terms' `coeffs`, `sizes` and `incidence` rows, each node's subsets in
+    sorted order, and `node_off` (node i owns terms node_off[i]:node_off[i+1]).
 
     Args:
         beta: maximum interaction order (>= 1).
-        terms: one dict per node mapping canonically sorted index tuples
-            (subset of that node's in-neighborhood) to coefficients.
-        graph: the graph the model was built for; subset keys are
-            validated against its in-neighborhoods.
+        terms: one dict per node mapping strictly increasing index tuples
+            (subsets of that node's in-neighborhood) to finite coefficients.
+        graph: the graph the model was built for.
     """
 
     def __init__(self, beta: int, terms: list[dict[Subset, float]], graph: CausalGraph):
+        from scipy.sparse import csr_matrix
+
         if beta < 1:
             raise ValueError("beta must be >= 1")
         if len(terms) != graph.n:
             raise ValueError("need one term map per node")
-        self.beta = int(beta)
-        self.graph = graph
-        self.terms: list[dict[Subset, float]] = []
-        for i, tmap in enumerate(terms):
-            nb = set(graph.in_neighborhood(i).tolist())
-            clean: dict[Subset, float] = {}
-            for subset, coeff in tmap.items():
-                key = tuple(int(v) for v in subset)
-                if list(key) != sorted(set(key)):
-                    raise ValueError(f"subset {subset} of node {i} is not sorted/duplicate-free")
-                if len(key) > beta:
-                    raise ValueError(f"subset {subset} of node {i} exceeds order beta={beta}")
-                if not set(key) <= nb:
-                    raise ValueError(f"subset {subset} of node {i} is not inside its in-neighborhood")
-                clean[key] = float(coeff)
-            self.terms.append(clean)
-        self._flat = None
+        self.beta, self.graph, n = int(beta), graph, graph.n
+        keys = [key for tmap in terms for key in tmap]
+        owner = np.repeat(np.arange(n), [len(tmap) for tmap in terms])
+        coeff = np.fromiter(chain.from_iterable(t.values() for t in terms), float, len(keys))
+        size = np.fromiter(map(len, keys), np.int64, len(keys))
+        tid = np.repeat(np.arange(len(keys)), size)  # the term of each member slot
+        raw = np.fromiter(chain.from_iterable(keys), float, tid.size)
+        members = np.clip(np.nan_to_num(raw), 0, max(n - 1, 0)).astype(np.int64)
+        # member j of node i lies in N_i when i*n + j is among the graph's edge
+        # keys, which are sorted because its CSR rows are
+        edges = np.repeat(np.arange(n), graph.in_degrees) * n + graph.nb_flat
+        key = owner[tid] * n + members
+        outside = (np.append(edges, -1)[np.searchsorted(edges, key)] != key) | (raw != members)
+        unsorted = np.append(False, (tid[1:] == tid[:-1]) & (np.diff(members) <= 0))
+        for bad, why in [
+            (~np.isfinite(coeff), "has a non-finite coefficient"),
+            (np.bincount(tid, raw != np.floor(raw), len(keys)) > 0, "has non-integer members"),
+            (np.bincount(tid, outside, len(keys)) > 0, "is not inside its in-neighborhood"),
+            (np.bincount(tid, unsorted, len(keys)) > 0, "is not sorted/duplicate-free"),
+            (size > beta, f"exceeds order beta={beta}"),
+        ]:
+            if bad.any():
+                t = int(bad.argmax())
+                raise ValueError(f"subset {keys[t]} of node {owner[t]} {why}")
+
+        # sort each node's terms by subset: one row of members per term,
+        # padded with -1 so that a prefix sorts before its extensions
+        rows = np.full((len(keys), int(size.max(initial=0))), -1)
+        rows[tid, np.arange(tid.size) - np.repeat(np.cumsum(size) - size, size)] = members
+        order = np.lexsort([*rows.T[::-1], owner])
+        self.const = np.zeros(n)
+        self.const[owner[size == 0]] += coeff[size == 0]
+        order = order[size[order] > 0]
+        self.coeffs, self.sizes, rows = coeff[order], size[order], rows[order]
+        self.node_off = np.append(0, np.cumsum(np.bincount(owner[order], minlength=n)))
+        ptr = np.append(0, np.cumsum(self.sizes))
+        self.incidence = csr_matrix((np.ones(ptr[-1]), rows[rows >= 0], ptr), (order.size, n))
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def _flat_terms(self):
-        # cached for vectorized evaluation: the per-node constant from the
-        # empty subset, and the nonempty terms grouped by node as a sparse
-        # term-incidence matrix (row t holds the members of term t)
-        if self._flat is None:
-            from scipy.sparse import csr_matrix
+    @property
+    def terms(self) -> list[dict[Subset, float]]:
+        """Per-node maps, rebuilt from the arrays on every access (read once,
+        not per node): the constant under (), then subsets in sorted order."""
+        members, ptr = self.incidence.indices.tolist(), self.incidence.indptr.tolist()
+        subsets = [tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])]
+        coeffs, off = self.coeffs.tolist(), self.node_off.tolist()
+        return [
+            {(): c, **dict(zip(subsets[a:b], coeffs[a:b]))}
+            for c, a, b in zip(self.const.tolist(), off, off[1:])
+        ]
 
-            const = np.zeros(self.n)
-            coeffs, sizes, members, node_counts = [], [], [], np.zeros(self.n, dtype=np.int64)
-            for i, tmap in enumerate(self.terms):
-                for subset, coeff in sorted(tmap.items()):
-                    if not subset:
-                        const[i] += coeff
-                        continue
-                    coeffs.append(coeff)
-                    sizes.append(len(subset))
-                    members.extend(subset)
-                    node_counts[i] += 1
-            node_off = np.zeros(self.n + 1, dtype=np.int64)
-            node_off[1:] = np.cumsum(node_counts)
-            sizes = np.asarray(sizes, dtype=np.int64)
-            mem_off = np.zeros(sizes.size + 1, dtype=np.int64)
-            mem_off[1:] = np.cumsum(sizes)
-            incidence = csr_matrix(
-                (np.ones(mem_off[-1]), np.asarray(members, dtype=np.int64), mem_off),
-                shape=(sizes.size, self.n),
-            )
-            self._flat = (const, np.asarray(coeffs, dtype=np.float64), sizes, incidence, node_off)
-        return self._flat
+    def y_max(self) -> float:
+        """Largest per-node l1 norm sum_S |c[i][S]|, each an exact math.fsum;
+        it bounds |Y_i(z)| for every assignment."""
+        c, off = np.abs(self.coeffs).tolist(), self.node_off.tolist()
+        norms = (math.fsum([k, *c[a:b]]) for k, a, b in zip(abs(self.const).tolist(), off, off[1:]))
+        return max(norms, default=0.0)
 
 
 @dataclass
 class GroundTruth:
-    """Exact estimands of a model: computed from coefficients, not samples."""
+    """Exact estimands of a model: computed from coefficients, not samples.
+    `direct[i]` is node i's direct-effect coefficient c[i][{i}] (0 if absent)."""
 
     tte: float
     ate: float
     te_alpha: dict[int, float]
     y_max: float
+    direct: np.ndarray
 
 
 def evaluate(model: OutcomesModel, z: np.ndarray) -> np.ndarray:
-    """Exact polynomial outcomes for one assignment (n,) or a batch (m, n).
-
-    The cached term-incidence matrix times the treatments counts each
-    term's treated members; a term is active when its count reaches its
-    size, and each node sums its active terms' coefficients onto its
-    constant. Raises ValueError for a wrong length or for a treatment
-    outside {0, 1}, which could otherwise reach a count without every
-    member being treated.
+    """Exact polynomial outcomes for one assignment (n,) or a batch (m, n):
+    a term is active when its treated-member count (one sparse product)
+    reaches its size, and each node adds its active coefficients to its
+    constant. Raises ValueError for a wrong length or a treatment outside
+    {0, 1}, which could reach a term's size without every member treated.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != model.n:
         raise ValueError(f"treatment vector length {z.shape[-1]} != n = {model.n}")
     if not ((z == 0.0) | (z == 1.0)).all():
         raise ValueError("treatments must be 0 or 1")
-    const, coeffs, sizes, incidence, node_off = model._flat_terms()
-    if coeffs.size == 0:
-        return np.broadcast_to(const, z.shape).copy()
-    counts = (incidence @ z.T).T  # (terms,) or (m, terms); exact small integers
-    return const + segment_sum(np.where(counts == sizes, coeffs, 0.0), node_off)
+    counts = (model.incidence @ z.T).T  # (terms,) or (m, terms); exact small integers
+    active = np.where(counts == model.sizes, model.coeffs, 0.0)
+    return model.const + segment_sum(active, model.node_off)
 
 
 def expand_power(weights: dict[int, float], ell: int) -> dict[Subset, float]:
@@ -158,10 +171,7 @@ def expand_power(weights: dict[int, float], ell: int) -> dict[Subset, float]:
         nxt: dict[Subset, float] = {}
         for subset, coeff in cur.items():
             for j, w in items:
-                if j in subset:
-                    key = subset
-                else:
-                    key = tuple(sorted(subset + (j,)))
+                key = subset if j in subset else tuple(sorted(subset + (j,)))
                 nxt[key] = nxt.get(key, 0.0) + coeff * w
         cur = nxt
     return cur
@@ -224,51 +234,42 @@ def gen_experiment_model(
 
 
 def ground_truth(model: OutcomesModel) -> GroundTruth:
-    """Exact estimands summed from the coefficient map, cross-checked
-    against evaluating the model at all-ones minus all-zeros."""
-    n = model.n
-    tte = 0.0
-    ate = 0.0
-    te_alpha = {a: 0.0 for a in range(1, model.beta + 1)}
-    y_max = 0.0
-    for i, tmap in enumerate(model.terms):
-        abs_sum = 0.0
-        for subset, coeff in tmap.items():
-            abs_sum += abs(coeff)
-            if subset:
-                tte += coeff
-                te_alpha[len(subset)] += coeff
-            if subset == (i,):
-                ate += coeff
-        y_max = max(y_max, abs_sum)
-    tte /= n
-    ate /= n
-    te_alpha = {a: v / n for a, v in te_alpha.items()}
-
-    ones = np.ones(n, dtype=np.int64)
-    zeros = np.zeros(n, dtype=np.int64)
-    direct = float(np.sum(evaluate(model, ones) - evaluate(model, zeros))) / n
-    if abs(direct - tte) > 1e-10 * max(1.0, abs(tte)):
-        raise AssertionError(
-            f"coefficient TTE {tte} disagrees with evaluated contrast {direct}"
-        )
-    return GroundTruth(tte=tte, ate=ate, te_alpha=te_alpha, y_max=y_max)
+    """Exact estimands as math.fsum sums over the coefficient arrays,
+    cross-checked against evaluating the model at all-ones minus all-zeros."""
+    n, coeffs, sizes, inc = model.n, model.coeffs, model.sizes, model.incidence
+    owner = np.repeat(np.arange(n), np.diff(model.node_off))
+    own = (sizes == 1) & (inc.indices[inc.indptr[:-1]] == owner)
+    direct = np.zeros(n)
+    direct[owner[own]] = coeffs[own]
+    tte = math.fsum(coeffs.tolist()) / n
+    contrast = float(np.sum(evaluate(model, np.ones(n)) - evaluate(model, np.zeros(n)))) / n
+    if abs(contrast - tte) > 1e-10 * max(1.0, abs(tte)):
+        raise AssertionError(f"coefficient TTE {tte} disagrees with evaluated contrast {contrast}")
+    return GroundTruth(
+        tte=tte,
+        ate=math.fsum(direct.tolist()) / n,
+        te_alpha={a: math.fsum(coeffs[sizes == a].tolist()) / n for a in range(1, model.beta + 1)},
+        y_max=model.y_max(),
+        direct=direct,
+    )
 
 
 def save_model(model: OutcomesModel, path) -> None:
-    nodes = []
-    for i, tmap in enumerate(model.terms):
-        entries = [
-            {"subset": list(subset), "coeff": coeff} for subset, coeff in sorted(tmap.items())
-        ]
-        nodes.append({"i": i, "terms": entries})
+    nodes = [
+        {"i": i, "terms": [{"subset": list(s), "coeff": c} for s, c in tmap.items()]}
+        for i, tmap in enumerate(model.terms)
+    ]
     Path(path).write_text(json.dumps({"beta": model.beta, "nodes": nodes}))
 
 
 def load_model(path, graph: CausalGraph) -> OutcomesModel:
+    """Read a model file; node ids must be distinct integers in [0, n), and
+    nodes left out get an empty map."""
     obj = json.loads(Path(path).read_text())
-    terms: list[dict[Subset, float]] = [{} for _ in range(graph.n)]
+    terms: list = [None] * graph.n
     for node in obj["nodes"]:
         i = node["i"]
+        if type(i) is not int or not 0 <= i < graph.n or terms[i] is not None:
+            raise ValueError(f"model file: node id {i!r} is not a unique integer in [0, {graph.n})")
         terms[i] = {tuple(t["subset"]): t["coeff"] for t in node["terms"]}
-    return OutcomesModel(obj["beta"], terms, graph)
+    return OutcomesModel(obj["beta"], [t or {} for t in terms], graph)

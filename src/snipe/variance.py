@@ -32,11 +32,10 @@ def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Desi
 
     with p the design's probability floor and Ymax the largest per-unit
     l1 coefficient norm (so |Y_i(z)| <= Ymax for every assignment)."""
-    y_max = max((math.fsum(abs(c) for c in tmap.values()) for tmap in model.terms), default=0.0)
     p = design.p_floor
     beta = model.beta
     inner = math.e * g.d_in / beta * max(4.0 * beta * beta, 1.0 / (p * (1.0 - p)))
-    return g.d_in * g.d_out * y_max**2 / g.n * inner**beta
+    return g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
 
 
 _pair_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from snipe import (
     OutcomesModel,
     evaluate,
     expand_power,
+    gen_erdos_renyi,
     gen_experiment_model,
     ground_truth,
     load_model,
+    outcomes,
     save_model,
     uniform_design,
     sample,
@@ -107,6 +110,7 @@ def _evaluate_cases():
     cases += [
         pytest.param(OutcomesModel(2, [{(0, 2): -1.5, (1,): 2.0}, {(): 4.0}, {}, {}], g), id="empty-segments"),
         pytest.param(OutcomesModel(1, [{(): 1.0}, {}, {(): -2.5}, {}], g), id="no-nonempty-terms"),
+        pytest.param(OutcomesModel(1, [{(1,): 1.0}, {}, {(0,): -2.5}, {}], g), id="no-constants"),
         pytest.param(OutcomesModel(2, [{(0,): 1.0}, {(): 3.0}, {(0, 2): 2.0}, {(): 1.0}], g), id="constant-only-node"),
         pytest.param(OutcomesModel(1, [{(): 0.5, (0,): -2.0}], graph_from_neighbors([[0]])), id="n1"),
         pytest.param(OutcomesModel(1, [{(): 0.5}], graph_from_neighbors([[]])), id="n1-no-in-neighbors"),
@@ -347,3 +351,144 @@ def test_model_loader_revalidates_against_graph(tmp_path):
     path.write_text('{"beta": 1, "nodes": [{"i": 0, "terms": [{"subset": [0, 1], "coeff": 1.0}]}]}')
     with pytest.raises(ValueError):
         load_model(path, g)
+
+
+def _model_arrays(m):
+    inc = m.incidence
+    arrays = [m.const, m.coeffs, m.sizes, inc.indices, inc.indptr, inc.data, m.node_off]
+    assert [a.dtype.kind for a in arrays] == ["f", "f", "i", "i", "i", "f", "i"]
+    return arrays + [np.array(inc.shape)]
+
+
+def _literal_ground_truth(m, terms):
+    """tte, ate, te_alpha and y_max as math.fsum of the literal input dicts."""
+    n = m.n
+    nonempty = [(S, c) for tmap in terms for S, c in tmap.items() if S]
+    tte = math.fsum(c for _, c in nonempty) / n
+    ate = math.fsum(tmap.get((i,), 0.0) for i, tmap in enumerate(terms)) / n
+    te = {a: math.fsum(c for S, c in nonempty if len(S) == a) / n for a in range(1, m.beta + 1)}
+    y_max = max(math.fsum(abs(c) for c in tmap.values()) for tmap in terms)
+    return tte, ate, te, y_max
+
+
+def _ground_truth_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for k in range(12):
+        beta = 1 + k % 3
+        g = random_graph(rng, int(rng.integers(2, 20)), float(rng.uniform(0.1, 0.6)))
+        terms = _random_terms(rng, g, beta) if k % 2 else list(random_model(rng, g, beta, r=3.0).terms)
+        cases.append(pytest.param(beta, terms, g, id=f"random-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("beta,terms,g", _ground_truth_cases())
+def test_ground_truth_is_fsum_of_literal_coefficients(beta, terms, g):
+    m = OutcomesModel(beta, terms, g)
+    gt = ground_truth(m)
+    assert (gt.tte, gt.ate, gt.te_alpha, gt.y_max) == _literal_ground_truth(m, terms)
+    assert gt.direct.dtype == np.float64
+    assert gt.direct.tolist() == [tmap.get((i,), 0.0) for i, tmap in enumerate(terms)]
+
+
+def test_ground_truth_is_fsum_at_benchmark_scale(monkeypatch):
+    # at n=5000, beta=2 a running sum over the ~330k coefficients is off in
+    # the last bits of tte; math.fsum over the arrays is exactly rounded
+    built = []
+
+    def capture(beta, terms, g):
+        built.append(terms)
+        return OutcomesModel(beta, terms, g)
+
+    monkeypatch.setattr(outcomes, "OutcomesModel", capture)
+    g = gen_erdos_renyi(5000, 10 / 5000, self_loops=True, seed=1)
+    m = gen_experiment_model(g, 2, 2.0, seed=5, scale=5.0)
+    gt = ground_truth(m)
+    assert (gt.tte, gt.ate, gt.te_alpha, gt.y_max) == _literal_ground_truth(m, built[0])
+
+
+@pytest.mark.parametrize("m", _evaluate_cases())
+def test_model_rebuilt_from_its_terms_is_identical(m):
+    m2 = OutcomesModel(m.beta, m.terms, m.graph)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(_model_arrays(m), _model_arrays(m2)))
+    Z = (np.random.default_rng(33).random((16, m.n)) < 0.5).astype(np.int64)
+    assert np.array_equal(evaluate(m, Z), evaluate(m2, Z))
+    assert np.array_equal(np.stack([evaluate(m, z) for z in Z]), np.stack([evaluate(m2, z) for z in Z]))
+
+
+def test_terms_view_reads_the_input_back():
+    rng = np.random.default_rng(43)
+    g = random_graph(rng, 14, 0.4)
+    terms = _random_terms(rng, g, 3)
+    # insertion order does not matter: each node's terms are stored sorted
+    shuffled = [dict(reversed(list(tmap.items()))) for tmap in terms]
+    m = OutcomesModel(3, shuffled, g)
+    assert all(np.array_equal(a, b) for a, b in zip(_model_arrays(m), _model_arrays(OutcomesModel(3, terms, g))))
+    assert len(m.terms) == g.n
+    for i, tmap in enumerate(m.terms):
+        assert tmap == {(): 0.0, **terms[i]}  # a node without a constant reads back 0.0
+        assert list(tmap) == sorted(tmap)
+    m.terms[0][()] = 99.0  # a fresh dict: the model is unchanged
+    assert m.terms[0][()] == terms[0].get((), 0.0)
+
+
+@pytest.mark.parametrize(
+    "tmap,match",
+    [
+        ({(): float("nan")}, "non-finite"),
+        ({(0,): float("inf")}, "non-finite"),
+        ({(0,): -float("inf")}, "non-finite"),
+        ({(0.7,): 1.0}, "non-integer"),
+        ({(0, 1.5): 1.0}, "non-integer"),
+        ({(float("nan"),): 1.0}, "non-integer"),
+        ({("a",): 1.0}, "could not convert"),
+        ({(-1,): 1.0}, "in-neighborhood"),
+        ({(2,): 1.0}, "in-neighborhood"),
+        ({(float("inf"),): 1.0}, "in-neighborhood"),
+        ({(1, 0): 1.0}, "sorted"),
+        ({(0, 1, 1): 1.0}, "sorted"),
+    ],
+)
+def test_model_rejects_bad_terms(tmap, match):
+    g = graph_from_neighbors([[0, 1], [1]])
+    with pytest.raises(ValueError, match=match):
+        OutcomesModel(3, [tmap, {}], g)
+
+
+@pytest.mark.parametrize("ids", [[-1], [2], [1.5], ["0"], [True], [0, 1, 0]])
+def test_model_loader_rejects_bad_node_ids(tmp_path, ids):
+    g = graph_from_neighbors([[0], [1]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"beta": 1, "nodes": [{"i": i, "terms": []} for i in ids]}))
+    with pytest.raises(ValueError, match=f"node id {ids[-1]!r}"):
+        load_model(path, g)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"subset": [], "coeff": NaN}',
+        '{"subset": [0], "coeff": Infinity}',
+        '{"subset": [0], "coeff": -Infinity}',
+        '{"subset": [0.7], "coeff": 1.0}',
+        '{"subset": [NaN], "coeff": 1.0}',
+    ],
+)
+def test_model_loader_rejects_non_finite_and_non_integral(tmp_path, entry):
+    g = graph_from_neighbors([[0], [1]])
+    path = tmp_path / "model.json"
+    path.write_text('{"beta": 1, "nodes": [{"i": 0, "terms": [%s]}]}' % entry)
+    with pytest.raises(ValueError, match="non-finite|non-integer"):
+        load_model(path, g)
+
+
+def test_model_file_matches_its_literal_terms(tmp_path):
+    rng = np.random.default_rng(44)
+    g = random_graph(rng, 10, 0.4)
+    m = random_model(rng, g, 2)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    nodes = json.loads(path.read_text())["nodes"]
+    assert [node["i"] for node in nodes] == list(range(g.n))
+    for node, tmap in zip(nodes, m.terms):
+        assert [(tuple(t["subset"]), t["coeff"]) for t in node["terms"]] == sorted(tmap.items())
