@@ -35,8 +35,6 @@ from .estimators import (
 )
 from .graph import (
     CausalGraph,
-    DependencyIndex,
-    dependency_index,
     gen_erdos_renyi,
     in_neighborhood,
     load_graph,

@@ -8,17 +8,14 @@ effects and are expected in most models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "CausalGraph",
-    "DependencyIndex",
     "gen_erdos_renyi",
     "in_neighborhood",
-    "dependency_index",
     "save_graph",
     "load_graph",
 ]
@@ -124,55 +121,6 @@ def in_neighborhood(g: CausalGraph, i: int) -> np.ndarray:
     return g.in_neighborhood(i)
 
 
-@dataclass
-class DependencyIndex:
-    """All ordered pairs (i, j) whose in-neighborhoods overlap, j = i
-    included, sorted by (i, j).
-
-    Pair k shares the in-neighbors inter_flat[inter_off[k]:inter_off[k + 1]]
-    (ascending). Indexing gives M_i = {j : N_i intersects N_j}, the row
-    pair_j[row_off[i]:row_off[i + 1]].
-    """
-
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    inter_flat: np.ndarray
-    inter_off: np.ndarray
-    row_off: np.ndarray
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.pair_j[self.row_off[i] : self.row_off[i + 1]]
-
-
-def dependency_index(g: CausalGraph) -> DependencyIndex:
-    """Exact dependency pairs: every ordered pair of units with a shared
-    in-neighbor k, built from the out-lists out(k) = {i : k in N_i}, each
-    contributing all |out(k)|^2 of its pairs."""
-    dst = np.repeat(np.arange(g.n), g.in_degrees)
-    out_flat = dst[np.argsort(g.nb_flat, kind="stable")]
-    out_off = np.zeros(g.n + 1, dtype=np.int64)
-    out_off[1:] = np.cumsum(g.out_degrees)
-    # slot t of shared neighbor k's block is the pair (out(k)[t // c], out(k)[t % c])
-    c = g.out_degrees
-    wk = np.repeat(np.arange(g.n), c * c)
-    t = np.arange(wk.size) - np.repeat(np.cumsum(c * c) - c * c, c * c)
-    wi = out_flat[out_off[wk] + t // c[wk]]
-    wj = out_flat[out_off[wk] + t % c[wk]]
-    order = np.lexsort((wk, wj, wi))
-    wi, wj, wk = wi[order], wj[order], wk[order]
-    boundary = np.ones(wi.size, dtype=bool)
-    boundary[1:] = (wi[1:] != wi[:-1]) | (wj[1:] != wj[:-1])
-    starts = np.flatnonzero(boundary)
-    pair_i = wi[starts]
-    return DependencyIndex(
-        pair_i=pair_i,
-        pair_j=wj[starts],
-        inter_flat=wk,
-        inter_off=np.append(starts, wi.size),
-        row_off=np.searchsorted(pair_i, np.arange(g.n + 1)),
-    )
-
-
 def save_graph(g: CausalGraph, path) -> None:
     obj = {"n": g.n, "self_loops": g.self_loops, "edges": [list(e) for e in g.edges()]}
     Path(path).write_text(json.dumps(obj))
@@ -181,11 +129,14 @@ def save_graph(g: CausalGraph, path) -> None:
 def load_graph(path) -> CausalGraph:
     obj = json.loads(Path(path).read_text())
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("graph file: n must be a positive integer")
     nbrs: list[list[int]] = [[] for _ in range(n)]
     seen = set()
-    for src, dst in obj["edges"]:
+    for edge in obj["edges"]:
+        if type(edge) is not list or len(edge) != 2 or any(type(v) is not int for v in edge):
+            raise ValueError(f"graph file: edge {edge!r} is not a pair of integers")
+        src, dst = edge
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"graph file: edge ({src}, {dst}) out of range")
         if (src, dst) in seen:

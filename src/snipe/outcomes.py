@@ -263,13 +263,25 @@ def save_model(model: OutcomesModel, path) -> None:
 
 
 def load_model(path, graph: CausalGraph) -> OutcomesModel:
-    """Read a model file; node ids must be distinct integers in [0, n), and
-    nodes left out get an empty map."""
+    """Read a model file. beta is an integer, node ids are distinct integers
+    in [0, n), each subset is a list of integers given once per node, and
+    each coeff is a number; nodes left out get an empty map."""
     obj = json.loads(Path(path).read_text())
+    if type(obj["beta"]) is not int:
+        raise ValueError(f"model file: beta {obj['beta']!r} is not an integer")
     terms: list = [None] * graph.n
     for node in obj["nodes"]:
         i = node["i"]
         if type(i) is not int or not 0 <= i < graph.n or terms[i] is not None:
             raise ValueError(f"model file: node id {i!r} is not a unique integer in [0, {graph.n})")
-        terms[i] = {tuple(t["subset"]): t["coeff"] for t in node["terms"]}
+        terms[i] = {}
+        for t in node["terms"]:
+            s, c = t["subset"], t["coeff"]
+            if type(s) is not list or any(type(j) is not int for j in s):
+                raise ValueError(f"model file: subset {s!r} of node {i} is not a list or has non-integer members")
+            if type(c) not in (int, float):
+                raise ValueError(f"model file: coeff {c!r} of node {i} is not a number")
+            if tuple(s) in terms[i]:
+                raise ValueError(f"model file: subset {s} of node {i} is given twice")
+            terms[i][tuple(s)] = c
     return OutcomesModel(obj["beta"], [t or {} for t in terms], graph)

@@ -13,7 +13,7 @@ import numpy as np
 from ._segments import segment_prod
 from .design import Design
 from .estimators import _check_lengths, snipe_weights
-from .graph import CausalGraph, DependencyIndex, dependency_index
+from .graph import CausalGraph
 from .outcomes import OutcomesModel
 
 __all__ = [
@@ -38,27 +38,42 @@ def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Desi
     return g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
 
 
-_pair_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()
+_shared_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _pair_index(g: CausalGraph) -> tuple[DependencyIndex, np.ndarray]:
-    """The graph's dependency pairs with the per-node inflation weights
-    K_i = sum_{j in M_i} (2^{|N_j|} - 2^{|N_j \\ N_i|}), cached per graph."""
-    cached = _pair_cache.get(g)
+def _shared_index(g: CausalGraph) -> tuple:
+    """Per-graph terms of conservative_variance, built once from
+    C = A A^T with A = g.in_csr() (itself cached on the graph), so that
+    C_ij = |N_i & N_j|:
+
+    - the inflation weights K_i = sum_{j : C_ij > 0} (2^{|N_j|} - 2^{|N_j| - C_ij});
+    - the pairs i < j sharing two or more in-neighbors, with their shared
+      in-neighbors as a padded (L, pairs) index whose padding is slot n.
+    """
+    cached = _shared_cache.get(g)
     if cached is None:
-        idx = dependency_index(g)
-        # |N_j \ N_i| = |N_j| - |intersection|
-        nj = g.in_degrees[idx.pair_j].astype(np.float64)
+        a = g.in_csr()
+        c = (a @ a.T).tocsr()
+        row = np.repeat(np.arange(g.n), np.diff(c.indptr))
+        nj = g.in_degrees[c.indices]
         with np.errstate(over="ignore", invalid="ignore"):
-            k_pair = 2.0**nj - 2.0 ** (nj - np.diff(idx.inter_off))
-        k_node = np.bincount(idx.pair_i, weights=k_pair, minlength=g.n)
+            pow2 = 2.0 ** np.arange(g.d_in + 1)
+            k_node = np.bincount(row, weights=pow2[nj] - pow2[nj - c.data.astype(np.int64)], minlength=g.n)
         if not np.isfinite(k_node).all():
             raise ValueError(
                 f"conservative_variance: in-degree {g.d_in} is too large, the 2^|N_j| "
                 "inflation term overflows float64 from in-degree 1024 on"
             )
-        cached = (idx, k_node)
-        _pair_cache[g] = cached
+        multi = (c.data > 1) & (c.indices > row)
+        pair_i, pair_j = row[multi], c.indices[multi]
+        shared = a[pair_i].multiply(a[pair_j]).tocsr()
+        shared.sort_indices()
+        size = np.diff(shared.indptr)
+        slot = np.arange(shared.nnz) - np.repeat(shared.indptr[:-1], size)
+        members = np.full((int(size.max(initial=0)), pair_i.size), g.n, dtype=np.int64)
+        members[slot, np.repeat(np.arange(pair_i.size), size)] = shared.indices
+        cached = (k_node, pair_i, pair_j, members)
+        _shared_cache[g] = cached
     return cached
 
 
@@ -69,19 +84,38 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     weighted-outcome product scaled by an exact covariance factor of the
     observed joint exposure; exposures that can never co-occur are covered
     by an inflated squared term. Both sums collapse onto the realized
-    assignment, so one draw costs O(sum_i |M_i|) work, and only the mean
-    over draws (not any single draw) is guaranteed to upper-bound the true
-    variance. Accepts z of shape (n,) or (m, n).
+    assignment, and only the mean over draws (not any single draw) is
+    guaranteed to upper-bound the true variance. Accepts z of shape (n,)
+    or (m, n).
+
+    The pair sum is grouped by shared in-neighbor, so that only the pairs
+    sharing two or more in-neighbors are visited one by one: a draw costs
+    O(nnz(A) + the shared members of those pairs) work, A = g.in_csr().
     """
     Y, z = _check_lengths(g, Y, z)
-    idx, k_node = _pair_index(g)
+    k_node, pair_i, pair_j, members = _shared_index(g)
     w = snipe_weights(g, z, design, beta)
     yw = Y * w
     u = np.where(np.asarray(z) == 1, design.probs, 1.0 - design.probs)
-    # q = realized-exposure probability over the pair's shared in-neighbors
-    q = segment_prod(u[..., idx.inter_flat], idx.inter_off)
-    term1 = (yw[..., idx.pair_i] * yw[..., idx.pair_j] * (1.0 - q)).sum(axis=-1)
     p_node = segment_prod(u[..., g.nb_flat], g.nb_off)
+    # term 1 by shared in-neighbor k, S = A^T yw: S_k^2 minus its diagonal
+    # weighs each pair i != j by sum_{k shared} (1 - u_k), which is its
+    # factor 1 - prod_{k shared} u_k whenever the pair shares one k. Every
+    # summed array is C-ordered (np.take, not yw[..., idx]), so a batch
+    # sums each draw exactly as a single draw does
+    yw2 = yw * yw
+    s, s2 = (np.ascontiguousarray(v @ g.in_csr()) for v in (yw, yw2))
+    term1 = ((1.0 - u) * (s * s - s2)).sum(axis=-1) + (yw2 * (1.0 - p_node)).sum(axis=-1)
+    # the pairs sharing two or more: the slot-n padding has u = 1
+    u_pad = np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
+    excess = 0.0
+    q = 1.0
+    for col in members:
+        uc = np.take(u_pad, col, axis=-1)
+        excess = excess + (1.0 - uc)
+        q = q * uc
+    yw_ij = np.take(yw, pair_i, axis=-1) * np.take(yw, pair_j, axis=-1)
+    term1 = term1 - 2.0 * (yw_ij * (excess + q - 1.0)).sum(axis=-1)
     term2 = (p_node * yw * yw * k_node).sum(axis=-1)
     out = (term1 + term2) / (g.n * g.n)
     return float(out) if np.ndim(out) == 0 else out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snipe import CausalGraph, dependency_index, gen_erdos_renyi, in_neighborhood, load_graph, save_graph
+from snipe import CausalGraph, gen_erdos_renyi, in_neighborhood, load_graph, save_graph
+from snipe.variance import _shared_index
 
 from _util import graph_from_neighbors
 
@@ -57,39 +58,57 @@ def test_construction_validates_neighbor_lists():
         CausalGraph([np.array([0, 0], dtype=np.int64)])
 
 
-def test_dependency_index_isolated_self_loops():
-    g = graph_from_neighbors([[0], [1], [2]])
-    m = dependency_index(g)
-    for i in range(3):
-        assert m[i].tolist() == [i]
-
-
-def test_dependency_index_shared_in_neighbor():
-    # nodes 1 and 2 both have in-neighbor 0
-    g = graph_from_neighbors([[0], [0, 1], [0, 2]])
-    m = dependency_index(g)
-    assert 2 in m[1].tolist() and 1 in m[2].tolist()
-    assert m[0].tolist() == [0, 1, 2]
-
-
-def test_dependency_index_complete_graph():
-    g = gen_erdos_renyi(6, 1.0, self_loops=True, seed=0)
-    m = dependency_index(g)
-    for i in range(6):
-        assert m[i].tolist() == list(range(6))
-
-
-def test_dependency_index_matches_bruteforce():
-    rng = np.random.default_rng(3)
-    g = gen_erdos_renyi(200, 0.02, self_loops=bool(rng.integers(2)), seed=11)
-    m = dependency_index(g)
+def _shared_index_matches_bruteforce(g):
+    """The conservative-variance cache against set arithmetic: the pattern of
+    A A^T is M_i, its entries are |N_i & N_j|, K_i is the brute-force sum,
+    and each cached pair sharing two or more in-neighbors lists exactly the
+    intersection. Returns the rows M_i."""
+    k_node, pair_i, pair_j, members = _shared_index(g)
+    c = (g.in_csr() @ g.in_csr().T).toarray()
     sets = [set(g.in_neighborhood(i).tolist()) for i in range(g.n)]
+    rows = []
     for i in range(g.n):
         brute = [j for j in range(g.n) if sets[i] & sets[j]]
-        assert m[i].tolist() == brute
+        assert np.flatnonzero(c[i]).tolist() == brute
+        assert [c[i, j] for j in range(g.n)] == [len(sets[i] & sets[j]) for j in range(g.n)]
+        k_i = sum(2.0 ** len(sets[j]) - 2.0 ** len(sets[j] - sets[i]) for j in brute)
+        assert k_node[i] == k_i
+        rows.append(brute)
+    multi = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if len(sets[i] & sets[j]) >= 2]
+    assert sorted(zip(pair_i.tolist(), pair_j.tolist())) == multi
+    for col, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
+        got = [k for k in members[:, col].tolist() if k != g.n]  # slot n pads
+        assert got == sorted(sets[i] & sets[j])
+    return rows
+
+
+def test_shared_index_isolated_self_loops():
+    g = graph_from_neighbors([[0], [1], [2]])
+    assert _shared_index_matches_bruteforce(g) == [[0], [1], [2]]
+    assert _shared_index(g)[3].shape == (0, 0)
+
+
+def test_shared_index_shared_in_neighbor():
+    # nodes 1 and 2 both have in-neighbor 0, and no pair shares two
+    g = graph_from_neighbors([[0], [0, 1], [0, 2]])
+    assert _shared_index_matches_bruteforce(g) == [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
+    assert _shared_index(g)[1].size == 0
+
+
+def test_shared_index_complete_graph():
+    g = gen_erdos_renyi(6, 1.0, self_loops=True, seed=0)
+    assert _shared_index_matches_bruteforce(g) == [list(range(6))] * 6
+    assert _shared_index(g)[3].shape == (6, 15)
+
+
+def test_shared_index_matches_bruteforce():
+    rng = np.random.default_rng(3)
+    g = gen_erdos_renyi(200, 0.02, self_loops=bool(rng.integers(2)), seed=11)
+    rows = _shared_index_matches_bruteforce(g)
+    for i, brute in enumerate(rows):
         assert len(brute) <= g.d_in * g.d_out
         for j in brute:  # symmetry
-            assert i in m[j]
+            assert i in rows[j]
 
 
 def test_generation_is_deterministic():
@@ -127,4 +146,24 @@ def test_graph_loader_validation(tmp_path):
         load_graph(path)
     path.write_text('{"n": 0, "self_loops": false, "edges": []}')
     with pytest.raises(ValueError):
+        load_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": true, "edges": []}', "n must"),
+        ('{"n": 2.0, "edges": []}', "n must"),
+        ('{"n": 2, "edges": [[0.0, 1]]}', "edge"),
+        ('{"n": 2, "edges": [[0, 1.5]]}', "edge"),
+        ('{"n": 2, "edges": [[0, true]]}', "edge"),
+        ('{"n": 2, "edges": [[0, 1, 7]]}', "edge"),
+        ('{"n": 2, "edges": [[0]]}', "edge"),
+        ('{"n": 2, "edges": ["01"]}', "edge"),
+    ],
+)
+def test_graph_loader_rejects_non_integer_fields(tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=field):
         load_graph(path)

@@ -492,3 +492,34 @@ def test_model_file_matches_its_literal_terms(tmp_path):
     assert [node["i"] for node in nodes] == list(range(g.n))
     for node, tmap in zip(nodes, m.terms):
         assert [(tuple(t["subset"]), t["coeff"]) for t in node["terms"]] == sorted(tmap.items())
+
+
+@pytest.mark.parametrize(
+    "beta, entries, field",
+    [
+        ("1.7", '{"subset": [0], "coeff": 1.0}', "beta"),
+        ("true", '{"subset": [0], "coeff": 1.0}', "beta"),
+        ('"2"', '{"subset": [0], "coeff": 1.0}', "beta"),
+        ("2", '{"subset": "01", "coeff": 1.0}', "subset"),
+        ("1", '{"subset": [true], "coeff": 1.0}', "subset"),
+        ("1", '{"subset": [0], "coeff": "1.5"}', "coeff"),
+        ("1", '{"subset": [0], "coeff": true}', "coeff"),
+        ("1", '{"subset": [0], "coeff": null}', "coeff"),
+        ("1", '{"subset": [0], "coeff": 1.0}, {"subset": [0], "coeff": 2.0}', "subset"),
+        ("1", '{"subset": [], "coeff": 1.0}, {"subset": [], "coeff": 2.0}', "subset"),
+    ],
+)
+def test_model_loader_rejects_mistyped_fields(tmp_path, beta, entries, field):
+    g = graph_from_neighbors([[0, 1], [1]])
+    path = tmp_path / "model.json"
+    path.write_text('{"beta": %s, "nodes": [{"i": 0, "terms": [%s]}]}' % (beta, entries))
+    with pytest.raises(ValueError, match=field):
+        load_model(path, g)
+
+
+def test_model_loader_accepts_integer_coefficients(tmp_path):
+    g = graph_from_neighbors([[0, 1], [1]])
+    path = tmp_path / "model.json"
+    path.write_text('{"beta": 2, "nodes": [{"i": 0, "terms": [{"subset": [], "coeff": 3}, {"subset": [0, 1], "coeff": -2}]}]}')
+    m = load_model(path, g)
+    assert m.terms[0] == {(): 3.0, (0, 1): -2.0}

@@ -247,3 +247,61 @@ def test_hub_of_in_degree_1500():
     assert ht_tte(g, Y, z, d) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="1024"):
         conservative_variance(g, Y, z, d, 1)
+
+
+# ------------------------------- shared-neighbor grouping at the extremes
+
+
+def _star(n):
+    # every pair shares only the center 0
+    return graph_from_neighbors([[0]] + [[0, i] for i in range(1, n)])
+
+
+EXTREME_GRAPHS = {
+    "single_self_loop": lambda: graph_from_neighbors([[0]]),
+    "single_no_edges": lambda: graph_from_neighbors([[]]),
+    "empty_in_neighborhood": lambda: graph_from_neighbors([[0, 1], [1, 2], [], [0, 1, 2, 3]]),
+    "star": lambda: _star(9),
+    "complete": lambda: gen_erdos_renyi(7, 1.0, self_loops=True, seed=0),
+}
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.99])
+@pytest.mark.parametrize("name", sorted(EXTREME_GRAPHS))
+def test_conservative_extremes_match_reference(name, p):
+    g = EXTREME_GRAPHS[name]()
+    rng = np.random.default_rng(31)
+    d = uniform_design(g.n, p)
+    Z = np.stack([sample(d, int(rng.integers(2**31))) for _ in range(6)])
+    Z[0], Z[1] = 0, 1  # all control and all treated, whatever p
+    Y = rng.uniform(-1.0, 1.0, Z.shape)
+    for beta in (1, 2, 3):
+        batch = conservative_variance(g, Y, Z, d, beta)
+        for r in range(Z.shape[0]):
+            want = conservative_variance_reference(g, Y[r], Z[r], d, beta)
+            single = conservative_variance(g, Y[r], Z[r], d, beta)
+            assert isinstance(single, float)
+            assert single == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert batch[r] == single
+
+
+def test_conservative_cache_shapes_at_extremes():
+    from snipe.variance import _shared_index
+
+    assert _shared_index(_star(9))[3].shape == (0, 0)  # no pair shares two neighbors
+    assert _shared_index(EXTREME_GRAPHS["complete"]())[3].shape == (7, 21)  # every pair does
+    assert _shared_index(EXTREME_GRAPHS["single_no_edges"]())[3].shape == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["star", "complete"])
+def test_conservative_exact_expectation_dominates_variance_at_extremes(name):
+    g = EXTREME_GRAPHS[name]()
+    rng = np.random.default_rng(32)
+    for beta in (1, 2):
+        m = random_model(rng, g, beta)
+        d = random_design(rng, g.n, lo=0.2, hi=0.8)
+        var = exact_moments(lambda Z: snipe_tte(g, evaluate(m, Z), Z, d, beta), d, batch=True).variance
+        cons = exact_moments(
+            lambda Z: conservative_variance(g, evaluate(m, Z), Z, d, beta), d, batch=True
+        ).mean
+        assert cons >= var - 1e-9
