@@ -35,7 +35,7 @@ class Design:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        if not ((probs > 0.0) & (probs < 1.0)).all():  # NaN fails too
             raise ValueError("treatment probabilities must lie strictly inside (0, 1)")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "p_floor", float(min(probs.min(), 1.0 - probs.max())))
@@ -85,6 +85,10 @@ def save_design(design: Design, path) -> None:
 
 def load_design(path) -> Design:
     obj = json.loads(Path(path).read_text())
+    if type(obj) is not dict:
+        raise ValueError("design file: the top level is not an object")
+    if type(obj["probs"]) is not list or any(type(p) not in (int, float) for p in obj["probs"]):
+        raise ValueError(f"design file: probs {obj['probs']!r} is not a list of numbers")
     return Design(np.asarray(obj["probs"], dtype=np.float64))
 
 

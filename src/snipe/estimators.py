@@ -200,7 +200,7 @@ def _uniform_weight_table(p: float, beta: int, t_max: int, m_max: int) -> np.nda
     return table
 
 
-def _treated_counts_f(g: CausalGraph, z) -> np.ndarray:
+def _treated_counts(g: CausalGraph, z) -> np.ndarray:
     # per-node count of treated in-neighbors as exact float64 (0/1 sums
     # below 2^53), via one sparse matvec per assignment
     zf = np.asarray(z, dtype=np.float64)
@@ -209,10 +209,6 @@ def _treated_counts_f(g: CausalGraph, z) -> np.ndarray:
         return A @ zf
     flat = zf.reshape(-1, g.n)
     return np.asarray((A @ flat.T).T).reshape(zf.shape[:-1] + (g.n,))
-
-
-def _treated_counts(g: CausalGraph, z) -> np.ndarray:
-    return _treated_counts_f(g, z).astype(np.int64)
 
 
 def snipe_tte_uniform(g: CausalGraph, Y, z, p: float, beta: int):
@@ -226,7 +222,7 @@ def snipe_tte_uniform(g: CausalGraph, Y, z, p: float, beta: int):
         raise ValueError("beta must be >= 1")
     Y, z = _check_lengths(g, Y, z)
     table = _uniform_weight_table(float(p), int(beta), g.d_in, g.d_in)
-    t = _treated_counts_f(g, z)
+    t = _treated_counts(g, z)
     # row-major position of (t, size - t) in the table collapses to
     # t * d_in + size; the float arithmetic is exact for these ranges
     flat = t * float(g.d_in) + g.in_degrees

@@ -128,11 +128,15 @@ def save_graph(g: CausalGraph, path) -> None:
 
 def load_graph(path) -> CausalGraph:
     obj = json.loads(Path(path).read_text())
+    if type(obj) is not dict:
+        raise ValueError("graph file: the top level is not an object")
     n = obj["n"]
     if type(n) is not int or n < 1:
         raise ValueError("graph file: n must be a positive integer")
     nbrs: list[list[int]] = [[] for _ in range(n)]
     seen = set()
+    if type(obj["edges"]) is not list:
+        raise ValueError(f"graph file: edges {obj['edges']!r} is not a list")
     for edge in obj["edges"]:
         if type(edge) is not list or len(edge) != 2 or any(type(v) is not int for v in edge):
             raise ValueError(f"graph file: edge {edge!r} is not a pair of integers")

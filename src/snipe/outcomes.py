@@ -267,15 +267,25 @@ def load_model(path, graph: CausalGraph) -> OutcomesModel:
     in [0, n), each subset is a list of integers given once per node, and
     each coeff is a number; nodes left out get an empty map."""
     obj = json.loads(Path(path).read_text())
+    if type(obj) is not dict:
+        raise ValueError("model file: the top level is not an object")
     if type(obj["beta"]) is not int:
         raise ValueError(f"model file: beta {obj['beta']!r} is not an integer")
     terms: list = [None] * graph.n
+    if type(obj["nodes"]) is not list:
+        raise ValueError(f"model file: nodes {obj['nodes']!r} is not a list")
     for node in obj["nodes"]:
+        if type(node) is not dict:
+            raise ValueError(f"model file: node entry {node!r} is not an object")
         i = node["i"]
         if type(i) is not int or not 0 <= i < graph.n or terms[i] is not None:
             raise ValueError(f"model file: node id {i!r} is not a unique integer in [0, {graph.n})")
         terms[i] = {}
+        if type(node["terms"]) is not list:
+            raise ValueError(f"model file: terms {node['terms']!r} of node {i} is not a list")
         for t in node["terms"]:
+            if type(t) is not dict:
+                raise ValueError(f"model file: term entry {t!r} of node {i} is not an object")
             s, c = t["subset"], t["coeff"]
             if type(s) is not list or any(type(j) is not int for j in s):
                 raise ValueError(f"model file: subset {s!r} of node {i} is not a list or has non-integer members")

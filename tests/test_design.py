@@ -83,3 +83,24 @@ def test_treatment_file_roundtrip(tmp_path):
     assert np.array_equal(z, z2)
     with pytest.raises(ValueError):
         load_treatment(path, 4)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[0.5, 0.5]", "top level"),
+        ('{"probs": {"a": 1}}', "probs"),
+        ('{"probs": ["0.5"]}', "probs"),
+        ('{"probs": [null, 0.5]}', "probs"),
+    ],
+)
+def test_design_loader_rejects_bad_containers(tmp_path, text, field):
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=field):
+        load_design(path)
+
+
+def test_nan_probability_rejected():
+    with pytest.raises(ValueError):
+        Design(np.array([0.5, np.nan]))

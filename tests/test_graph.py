@@ -167,3 +167,19 @@ def test_graph_loader_rejects_non_integer_fields(tmp_path, text, field):
     path.write_text(text)
     with pytest.raises(ValueError, match=field):
         load_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[]", "top level"),
+        ('[{"n": 2, "edges": []}]', "top level"),
+        ('{"n": 2, "edges": 5}', "edges"),
+    ],
+)
+def test_graph_loader_rejects_bad_containers(tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=field):
+        load_graph(path)
+

@@ -523,3 +523,21 @@ def test_model_loader_accepts_integer_coefficients(tmp_path):
     path.write_text('{"beta": 2, "nodes": [{"i": 0, "terms": [{"subset": [], "coeff": 3}, {"subset": [0, 1], "coeff": -2}]}]}')
     m = load_model(path, g)
     assert m.terms[0] == {(): 3.0, (0, 1): -2.0}
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('[{"beta": 1, "nodes": []}]', "top level"),
+        ('{"beta": 1, "nodes": 5}', "nodes"),
+        ('{"beta": 1, "nodes": [5]}', "node entry"),
+        ('{"beta": 1, "nodes": [{"i": 0, "terms": 5}]}', "terms"),
+        ('{"beta": 1, "nodes": [{"i": 0, "terms": [5]}]}', "term entry"),
+    ],
+)
+def test_model_loader_rejects_bad_containers(tmp_path, text, field):
+    g = graph_from_neighbors([[0, 1], [1]])
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=field):
+        load_model(path, g)
