@@ -1,30 +1,19 @@
-"""Segmented reductions over flattened per-node lists.
+"""Segmented products over flattened per-node lists.
 
-np.ufunc.reduceat has two sharp edges: an offset equal to the array length
-is rejected, and an empty segment yields the element at its start index
-instead of the reduction identity. Padding one identity element and
-overwriting empty segments afterwards gives the intended CSR semantics.
+np.multiply.reduceat has two sharp edges: an offset equal to the array
+length is rejected, and an empty segment yields the element at its start
+index instead of 1. Padding one 1 and overwriting empty segments afterwards
+gives the intended CSR semantics. Sums need no helper: they are products
+with a CSR matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _segment_reduce(ufunc, values: np.ndarray, offsets: np.ndarray, identity: float) -> np.ndarray:
-    pad = np.full(values.shape[:-1] + (1,), identity)
-    padded = np.concatenate([values, pad], axis=-1)
-    out = ufunc.reduceat(padded, offsets[:-1], axis=-1)
-    empty = offsets[:-1] == offsets[1:]
-    if empty.any():
-        out[..., empty] = identity
-    return out
-
-
-def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums along the last axis; empty segments give 0."""
-    return _segment_reduce(np.add, values, offsets, 0.0)
-
-
 def segment_prod(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment products along the last axis; empty segments give 1."""
-    return _segment_reduce(np.multiply, values, offsets, 1.0)
+    padded = np.concatenate([values, np.ones(values.shape[:-1] + (1,))], axis=-1)
+    out = np.multiply.reduceat(padded, offsets[:-1], axis=-1)
+    out[..., offsets[:-1] == offsets[1:]] = 1.0
+    return out

@@ -345,9 +345,14 @@ def _ate_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
 def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
     """Conditional (direct) effect for a subpopulation: the snipe_ate
     per-unit weights averaged over the nodes in D only."""
-    D = np.asarray(sorted(set(int(v) for v in np.asarray(D).ravel())), dtype=np.int64)
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    D = np.asarray(D)
     if D.size == 0:
         raise ValueError("demographic D must be non-empty")
+    if D.dtype.kind not in "iu":
+        raise ValueError(f"demographic D must hold integer node ids, not {D.dtype}")
+    D = np.unique(D)
     if D.min() < 0 or D.max() >= g.n:
         raise ValueError("demographic D contains out-of-range nodes")
     if not g.has_self_loop[D].all():

@@ -28,11 +28,11 @@ class CausalGraph:
     Args:
         in_neighbors: one sorted, duplicate-free array of in-neighbor
             indices per node (may include the node itself).
-        self_loops: generator intent flag, recorded in the file format;
-            derived from the edge set when omitted.
+
+    `self_loops` is True when every node is its own in-neighbor.
     """
 
-    def __init__(self, in_neighbors: list[np.ndarray], self_loops: bool | None = None):
+    def __init__(self, in_neighbors: list[np.ndarray]):
         self.n = len(in_neighbors)
         nbrs = [np.asarray(nb, dtype=np.int64) for nb in in_neighbors]
         self.nb_off = np.zeros(self.n + 1, dtype=np.int64)
@@ -55,7 +55,7 @@ class CausalGraph:
 
         self.has_self_loop = np.zeros(self.n, dtype=bool)
         self.has_self_loop[self.nb_flat[self.nb_flat == row]] = True
-        self.self_loops = bool(self.has_self_loop.all()) if self_loops is None else bool(self_loops)
+        self.self_loops = bool(self.has_self_loop.all())
 
         # padded neighbor-index matrix for vectorized per-node reductions;
         # the sentinel column index n maps to a zero slot appended by callers
@@ -114,7 +114,7 @@ def gen_erdos_renyi(n: int, p_edge: float, self_loops: bool = True, seed=0) -> C
             if pos < nb.size and nb[pos] == i:
                 nb = np.delete(nb, pos)
         nbrs.append(nb)
-    return CausalGraph(nbrs, self_loops=self_loops)
+    return CausalGraph(nbrs)
 
 
 def in_neighborhood(g: CausalGraph, i: int) -> np.ndarray:
@@ -127,6 +127,9 @@ def save_graph(g: CausalGraph, path) -> None:
 
 
 def load_graph(path) -> CausalGraph:
+    """Read a graph file. n is a positive integer, each edge a pair of
+    integers in [0, n) given once, and `self_loops`, when present, a bool
+    that says whether every node has its self-loop edge."""
     obj = json.loads(Path(path).read_text())
     if type(obj) is not dict:
         raise ValueError("graph file: the top level is not an object")
@@ -147,7 +150,8 @@ def load_graph(path) -> CausalGraph:
             raise ValueError(f"graph file: duplicate edge ({src}, {dst})")
         seen.add((src, dst))
         nbrs[dst].append(src)
-    return CausalGraph(
-        [np.array(sorted(nb), dtype=np.int64) for nb in nbrs],
-        self_loops=bool(obj.get("self_loops", False)),
-    )
+    g = CausalGraph([np.array(sorted(nb), dtype=np.int64) for nb in nbrs])
+    flag = obj.get("self_loops", g.self_loops)
+    if type(flag) is not bool or flag != g.self_loops:
+        raise ValueError(f"graph file: self_loops {flag!r} is not a bool that matches the edges")
+    return g

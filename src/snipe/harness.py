@@ -77,6 +77,12 @@ class ExperimentConfig:
             raise ValueError("graphs and reps must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
+        whole = [("n", self.n), ("beta", self.beta)]
+        if self.sweep in ("n", "beta"):
+            whole += [(f"sweep value of {self.sweep}", v) for v in self.sweep_values]
+        for what, v in whole:
+            if not float(v).is_integer():
+                raise ValueError(f"{what} must be an integer, got {v!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")

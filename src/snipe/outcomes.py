@@ -8,10 +8,11 @@ the neighborhood takes this form.
 
 A model keeps its terms once, as flat arrays grouped by node, with the
 nonempty terms as a sparse term-incidence matrix (terms x n, row t = the
-members of term t); dicts appear only at the constructor and in
-`OutcomesModel.terms`, for the JSON file format. A term's product is 1
-exactly when its treated-member count reaches its size, so `evaluate` is
-one sparse product, one comparison and one per-node segment sum.
+members of term t) and the coefficients as a sparse node-by-term matrix
+(n x terms, row i = node i's terms); dicts appear only at the constructor
+and in `OutcomesModel.terms`, for the JSON file format. A term's product
+is 1 exactly when its treated-member count reaches its size, so `evaluate`
+is two sparse products around one comparison.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._segments import segment_sum
 from .graph import CausalGraph
 
 __all__ = [
@@ -51,6 +51,7 @@ class OutcomesModel:
     as flat arrays: `const` (the empty-subset coefficients), the nonempty
     terms' `coeffs`, `sizes` and `incidence` rows, each node's subsets in
     sorted order, and `node_off` (node i owns terms node_off[i]:node_off[i+1]).
+    `coeff_matrix` is the n x terms CSR matrix holding `coeffs` in those rows.
 
     Args:
         beta: maximum interaction order (>= 1).
@@ -103,6 +104,7 @@ class OutcomesModel:
         self.node_off = np.append(0, np.cumsum(np.bincount(owner[order], minlength=n)))
         ptr = np.append(0, np.cumsum(self.sizes))
         self.incidence = csr_matrix((np.ones(ptr[-1]), rows[rows >= 0], ptr), (order.size, n))
+        self.coeff_matrix = csr_matrix((self.coeffs, np.arange(order.size), self.node_off), (n, order.size))
 
     @property
     def n(self) -> int:
@@ -143,18 +145,21 @@ class GroundTruth:
 def evaluate(model: OutcomesModel, z: np.ndarray) -> np.ndarray:
     """Exact polynomial outcomes for one assignment (n,) or a batch (m, n):
     a term is active when its treated-member count (one sparse product)
-    reaches its size, and each node adds its active coefficients to its
-    constant. Raises ValueError for a wrong length or a treatment outside
-    {0, 1}, which could reach a term's size without every member treated.
+    reaches its size, and each node adds its active coefficients, in term
+    order, to its constant (a second sparse product). A batch's rows equal
+    the single calls bit for bit. Raises ValueError for a wrong length or a
+    treatment outside {0, 1}, which could reach a term's size without every
+    member treated.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != model.n:
         raise ValueError(f"treatment vector length {z.shape[-1]} != n = {model.n}")
     if not ((z == 0.0) | (z == 1.0)).all():
         raise ValueError("treatments must be 0 or 1")
-    counts = (model.incidence @ z.T).T  # (terms,) or (m, terms); exact small integers
-    active = np.where(counts == model.sizes, model.coeffs, 0.0)
-    return model.const + segment_sum(active, model.node_off)
+    counts = model.incidence @ z.T  # (terms,) or (terms, m); exact small integers
+    active = counts.T == model.sizes
+    # a batch sums to (n, m); order="C" returns it as m C-ordered rows
+    return np.add(model.const, (model.coeff_matrix @ active.T).T, order="C")
 
 
 def expand_power(weights: dict[int, float], ell: int) -> dict[Subset, float]:

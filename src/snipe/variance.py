@@ -48,7 +48,7 @@ def _shared_index(g: CausalGraph) -> tuple:
 
     - the inflation weights K_i = sum_{j : C_ij > 0} (2^{|N_j|} - 2^{|N_j| - C_ij});
     - the pairs i < j sharing two or more in-neighbors, with their shared
-      in-neighbors as a padded (L, pairs) index whose padding is slot n.
+      in-neighbors as a CSR matrix (pairs x n, one sorted row per pair).
     """
     cached = _shared_cache.get(g)
     if cached is None:
@@ -68,11 +68,7 @@ def _shared_index(g: CausalGraph) -> tuple:
         pair_i, pair_j = row[multi], c.indices[multi]
         shared = a[pair_i].multiply(a[pair_j]).tocsr()
         shared.sort_indices()
-        size = np.diff(shared.indptr)
-        slot = np.arange(shared.nnz) - np.repeat(shared.indptr[:-1], size)
-        members = np.full((int(size.max(initial=0)), pair_i.size), g.n, dtype=np.int64)
-        members[slot, np.repeat(np.arange(pair_i.size), size)] = shared.indices
-        cached = (k_node, pair_i, pair_j, members)
+        cached = (k_node, pair_i, pair_j, shared)
         _shared_cache[g] = cached
     return cached
 
@@ -93,7 +89,7 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     O(nnz(A) + the shared members of those pairs) work, A = g.in_csr().
     """
     Y, z = _check_lengths(g, Y, z)
-    k_node, pair_i, pair_j, members = _shared_index(g)
+    k_node, pair_i, pair_j, shared = _shared_index(g)
     w = snipe_weights(g, z, design, beta)
     yw = Y * w
     u = np.where(np.asarray(z) == 1, design.probs, 1.0 - design.probs)
@@ -106,14 +102,9 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     yw2 = yw * yw
     s, s2 = (np.ascontiguousarray(v @ g.in_csr()) for v in (yw, yw2))
     term1 = ((1.0 - u) * (s * s - s2)).sum(axis=-1) + (yw2 * (1.0 - p_node)).sum(axis=-1)
-    # the pairs sharing two or more: the slot-n padding has u = 1
-    u_pad = np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
-    excess = 0.0
-    q = 1.0
-    for col in members:
-        uc = np.take(u_pad, col, axis=-1)
-        excess = excess + (1.0 - uc)
-        q = q * uc
+    # the pairs sharing two or more, reduced over their rows of `shared`
+    excess = (1.0 - u) @ shared.T
+    q = segment_prod(np.take(u, shared.indices, axis=-1), shared.indptr)
     yw_ij = np.take(yw, pair_i, axis=-1) * np.take(yw, pair_j, axis=-1)
     term1 = term1 - 2.0 * (yw_ij * (excess + q - 1.0)).sum(axis=-1)
     term2 = (p_node * yw * yw * k_node).sum(axis=-1)

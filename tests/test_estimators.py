@@ -400,6 +400,12 @@ def test_cate_validates_demographic():
         snipe_cate(g, np.zeros(2), np.array([0, 1]), d, 1, [])
     with pytest.raises(ValueError):
         snipe_cate(g, np.zeros(2), np.array([0, 1]), d, 1, [5])
+    for beta in (0, -1):
+        with pytest.raises(ValueError, match="beta"):
+            snipe_cate(g, np.zeros(2), np.array([0, 1]), d, beta, [0])
+    for D in ([0.5, 1.7], [True], np.array([1.0])):
+        with pytest.raises(ValueError, match="integer"):
+            snipe_cate(g, np.zeros(2), np.array([0, 1]), d, 1, D)
 
 
 def test_te_alpha_reduces_to_ate_for_pure_self_graphs():

@@ -63,7 +63,7 @@ def _shared_index_matches_bruteforce(g):
     A A^T is M_i, its entries are |N_i & N_j|, K_i is the brute-force sum,
     and each cached pair sharing two or more in-neighbors lists exactly the
     intersection. Returns the rows M_i."""
-    k_node, pair_i, pair_j, members = _shared_index(g)
+    k_node, pair_i, pair_j, shared = _shared_index(g)
     c = (g.in_csr() @ g.in_csr().T).toarray()
     sets = [set(g.in_neighborhood(i).tolist()) for i in range(g.n)]
     rows = []
@@ -76,8 +76,8 @@ def _shared_index_matches_bruteforce(g):
         rows.append(brute)
     multi = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if len(sets[i] & sets[j]) >= 2]
     assert sorted(zip(pair_i.tolist(), pair_j.tolist())) == multi
-    for col, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
-        got = [k for k in members[:, col].tolist() if k != g.n]  # slot n pads
+    for row, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
+        got = shared.indices[shared.indptr[row] : shared.indptr[row + 1]].tolist()
         assert got == sorted(sets[i] & sets[j])
     return rows
 
@@ -85,7 +85,7 @@ def _shared_index_matches_bruteforce(g):
 def test_shared_index_isolated_self_loops():
     g = graph_from_neighbors([[0], [1], [2]])
     assert _shared_index_matches_bruteforce(g) == [[0], [1], [2]]
-    assert _shared_index(g)[3].shape == (0, 0)
+    assert _shared_index(g)[3].shape[0] == 0
 
 
 def test_shared_index_shared_in_neighbor():
@@ -98,7 +98,8 @@ def test_shared_index_shared_in_neighbor():
 def test_shared_index_complete_graph():
     g = gen_erdos_renyi(6, 1.0, self_loops=True, seed=0)
     assert _shared_index_matches_bruteforce(g) == [list(range(6))] * 6
-    assert _shared_index(g)[3].shape == (6, 15)
+    shared = _shared_index(g)[3]
+    assert shared.shape[0] == 15 and np.diff(shared.indptr).max() == 6
 
 
 def test_shared_index_matches_bruteforce():
@@ -183,3 +184,27 @@ def test_graph_loader_rejects_bad_containers(tmp_path, text, field):
     with pytest.raises(ValueError, match=field):
         load_graph(path)
 
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "self_loops": "no", "edges": [[0, 1]]}',
+        '{"n": 2, "self_loops": 1, "edges": [[0, 0], [1, 1]]}',
+        '{"n": 2, "self_loops": null, "edges": [[0, 1]]}',
+        '{"n": 2, "self_loops": true, "edges": [[0, 1]]}',
+        '{"n": 2, "self_loops": false, "edges": [[0, 0], [1, 0], [1, 1]]}',
+    ],
+)
+def test_graph_loader_rejects_bad_self_loops(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="self_loops"):
+        load_graph(path)
+
+
+def test_graph_self_loops_follows_the_edges(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text('{"n": 2, "edges": [[0, 0], [1, 1]]}')
+    assert load_graph(path).self_loops
+    path.write_text('{"n": 2, "self_loops": false, "edges": [[0, 0], [0, 1]]}')
+    assert not load_graph(path).self_loops

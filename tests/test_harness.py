@@ -211,6 +211,24 @@ def test_config_integer_sweep_coercion():
     assert all(isinstance(v, int) for v in cfg.sweep_values)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n": 150.5},
+        {"beta": 1.5},
+        {"sweep": "beta", "sweep_values": (1.5, 2.7)},
+        {"sweep": "n", "sweep_values": (100, 200.5)},
+    ],
+)
+def test_config_rejects_non_integral_n_and_beta(fields):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _small_cfg(**fields)
+    if "sweep" in fields:
+        values = " ".join(map(str, fields["sweep_values"]))
+        with pytest.raises(ValueError, match="must be an integer"):
+            config_from_mapping({"sweep": fields["sweep"], "sweep_values": values}, base_seed=1)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         config_from_mapping({"bogus": "1"}, base_seed=0)

@@ -416,6 +416,18 @@ def test_model_rebuilt_from_its_terms_is_identical(m):
     assert np.array_equal(np.stack([evaluate(m, z) for z in Z]), np.stack([evaluate(m2, z) for z in Z]))
 
 
+@pytest.mark.parametrize("n, p_edge, beta, m", [(16, 0.3, 3, 8192), (5000, 10 / 5000, 2, 24)])
+def test_batched_evaluate_is_c_ordered_and_equals_single_calls(n, p_edge, beta, m):
+    # a sparse product sums each row in sequence; a batch must come back as
+    # C-ordered rows that each equal the single call bit for bit
+    g = gen_erdos_renyi(n, p_edge, self_loops=True, seed=3)
+    model = gen_experiment_model(g, beta, 2.0, seed=4)
+    Z = (np.random.default_rng(35).random((m, n)) < 0.4).astype(np.int64)
+    batch = evaluate(model, Z)
+    assert batch.dtype == np.float64 and batch.shape == (m, n) and batch.flags.c_contiguous
+    assert np.array_equal(batch, np.stack([evaluate(model, z) for z in Z]))
+
+
 def test_terms_view_reads_the_input_back():
     rng = np.random.default_rng(43)
     g = random_graph(rng, 14, 0.4)

@@ -288,9 +288,10 @@ def test_conservative_extremes_match_reference(name, p):
 def test_conservative_cache_shapes_at_extremes():
     from snipe.variance import _shared_index
 
-    assert _shared_index(_star(9))[3].shape == (0, 0)  # no pair shares two neighbors
-    assert _shared_index(EXTREME_GRAPHS["complete"]())[3].shape == (7, 21)  # every pair does
-    assert _shared_index(EXTREME_GRAPHS["single_no_edges"]())[3].shape == (0, 0)
+    assert _shared_index(_star(9))[3].shape[0] == 0  # no pair shares two neighbors
+    shared = _shared_index(EXTREME_GRAPHS["complete"]())[3]
+    assert shared.shape[0] == 21 and np.diff(shared.indptr).max() == 7  # every pair does
+    assert _shared_index(EXTREME_GRAPHS["single_no_edges"]())[3].shape[0] == 0
 
 
 @pytest.mark.parametrize("name", ["star", "complete"])
