@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._segments import segment_prod
 from .design import Design
-from .estimators import _check_lengths, _mean_over_units, _treated_counts
+from .estimators import _check_lengths, _check_order, _mean_over_units, _treated_counts
 from .graph import CausalGraph
 
 __all__ = [
@@ -34,9 +33,10 @@ def ht_tte(g: CausalGraph, Y, z, design: Design):
     unbiased under arbitrary neighborhood interference, but the indicators
     are almost always both zero once degrees are moderate."""
     Y, z = _check_lengths(g, Y, z)
-    p = design.probs
-    prob_all = segment_prod(p[g.nb_flat], g.nb_off)
-    prob_none = segment_prod((1.0 - p)[g.nb_flat], g.nb_off)
+    # products over N_i as sums of logs, finite because Design keeps 0 < p < 1
+    A, p = g.in_csr(), design.probs
+    prob_all = np.exp(A @ np.log(p))
+    prob_none = np.exp(A @ np.log1p(-p))
     counts = _treated_counts(g, z)
     # an exposure that did not occur contributes 0, even where its
     # probability underflows to 0 on a hub; empty neighborhoods give 1/1 - 1/1
@@ -118,8 +118,7 @@ def ls_fit(g: CausalGraph, Y, z, beta: int, covariate: str = "count") -> Regress
     """Fit the degree-beta regression by normal equations; a tiny ridge
     (1e-10 * mean Gram diagonal) is added only when the Gram matrix is
     numerically singular, e.g. when z is constant."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     Y, z = _check_lengths(g, Y, z)
     z = z.astype(np.float64)
     m = 2 * beta + 1

@@ -30,6 +30,7 @@ assignment of shape (n,) or a batch (m, n).
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import combinations
 
@@ -70,6 +71,16 @@ def subset_coeff(subset, probs) -> float:
     return float(np.prod(1.0 - ps) - np.prod(-ps))
 
 
+def _check_order(value, name: str) -> int:
+    """An interaction order (beta or alpha) as an int >= 1. A bool or a
+    non-integral value is an error, not a value for int() to truncate."""
+    if type(value) is bool or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
+
+
 def _centered_factors(z, design: Design) -> np.ndarray:
     # (z_j - p_j) / (p_j (1 - p_j)): the building block of every weight
     p = design.probs
@@ -79,8 +90,7 @@ def _centered_factors(z, design: Design) -> np.ndarray:
 def snipe_weight(g: CausalGraph, i: int, z, design: Design, beta: int) -> float:
     """Reference per-node weight: the literal sum over all subsets of N_i
     of size <= beta, enumerated by size then lexicographically."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     f = _centered_factors(z, design)
     p = design.probs
     nb = g.in_neighborhood(i).tolist()
@@ -135,8 +145,7 @@ def snipe_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
     g(S) prod_S f splits into prod_S (1-p) f - prod_S (-p) f, so the weight
     is sum_{b=1..beta} e_b((1-p) f) - e_b(-p f) over each neighborhood.
     """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     f = _centered_factors(z, design)
     e_plus = _esp2(None, _gather(g, (1.0 - design.probs) * f), 0, beta)
     e_minus = _esp2(None, _gather(g, (-design.probs) * f), 0, beta)
@@ -218,10 +227,9 @@ def snipe_tte_uniform(g: CausalGraph, Y, z, p: float, beta: int):
     table build (cached across calls)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     Y, z = _check_lengths(g, Y, z)
-    table = _uniform_weight_table(float(p), int(beta), g.d_in, g.d_in)
+    table = _uniform_weight_table(float(p), beta, g.d_in, g.d_in)
     t = _treated_counts(g, z)
     # row-major position of (t, size - t) in the table collapses to
     # t * d_in + size; the float arithmetic is exact for these ranges
@@ -322,8 +330,7 @@ def snipe_ate(g: CausalGraph, Y, z, design: Design, beta: int):
     Requires a self-loop on every node; otherwise no direct effect exists
     in the model and the estimand is undefined.
     """
-    if not 1 <= beta:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     if not g.has_self_loop.all():
         raise ValueError("snipe_ate requires a self-loop on every node")
     Y, z = _check_lengths(g, Y, z)
@@ -345,8 +352,7 @@ def _ate_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
 def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
     """Conditional (direct) effect for a subpopulation: the snipe_ate
     per-unit weights averaged over the nodes in D only."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     D = np.asarray(D)
     if D.size == 0:
         raise ValueError("demographic D must be non-empty")
@@ -376,7 +382,8 @@ def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
     into row alpha of the neighborhood generating function with
     x = -h/p on T and h on V, summed over |V| = 0..beta-alpha.
     """
-    if not 1 <= alpha <= beta:
+    beta, alpha = _check_order(beta, "beta"), _check_order(alpha, "alpha")
+    if alpha > beta:
         raise ValueError("alpha must satisfy 1 <= alpha <= beta")
     Y, z = _check_lengths(g, Y, z)
     h = _h_factors(z, design)

@@ -22,8 +22,9 @@ __all__ = [
 
 
 class CausalGraph:
-    """Immutable directed graph stored as CSR in-neighbor lists: N_i is
-    nb_flat[nb_off[i]:nb_off[i + 1]], sorted and duplicate-free.
+    """Immutable directed graph stored once, as its 0/1 in-adjacency CSR
+    matrix `in_csr()`, whose `indices` and `indptr` are `nb_flat` and
+    `nb_off`: N_i is nb_flat[nb_off[i]:nb_off[i + 1]], sorted and duplicate-free.
 
     Args:
         in_neighbors: one sorted, duplicate-free array of in-neighbor
@@ -33,6 +34,8 @@ class CausalGraph:
     """
 
     def __init__(self, in_neighbors: list[np.ndarray]):
+        from scipy.sparse import csr_matrix
+
         self.n = len(in_neighbors)
         nbrs = [np.asarray(nb, dtype=np.int64) for nb in in_neighbors]
         self.nb_off = np.zeros(self.n + 1, dtype=np.int64)
@@ -47,6 +50,8 @@ class CausalGraph:
         bad = (np.diff(self.nb_flat) <= 0) & (row[1:] == row[:-1])
         if bad.any():
             raise ValueError(f"in-neighbor list of node {row[bad.argmax()]} must be sorted and duplicate-free")
+        self._csr = csr_matrix((np.ones(self.nb_flat.size), self.nb_flat, self.nb_off), shape=(self.n, self.n))
+        self.nb_flat, self.nb_off = self._csr.indices, self._csr.indptr  # int32 where scipy downcasts
 
         self.out_degrees = np.bincount(self.nb_flat, minlength=self.n)
         self.d_in = int(self.in_degrees.max()) if self.n else 0
@@ -61,17 +66,10 @@ class CausalGraph:
         # the sentinel column index n maps to a zero slot appended by callers
         self.nb_pad = np.full((self.n, max(self.d_in, 1)), self.n, dtype=np.int64)
         self.nb_pad[row, np.arange(row.size) - self.nb_off[row]] = self.nb_flat
-        self._csr = None
 
     def in_csr(self):
-        """0/1 in-adjacency as a scipy CSR matrix (row i = N_i), cached;
-        (in_csr() @ z) counts treated in-neighbors per node."""
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-
-            self._csr = csr_matrix(
-                (np.ones(self.nb_flat.size), self.nb_flat, self.nb_off), shape=(self.n, self.n)
-            )
+        """The 0/1 in-adjacency matrix A (row i = N_i): A @ z counts treated
+        in-neighbors per node, and exp(A @ log x) is each prod_{j in N_i} x_j."""
         return self._csr
 
     def in_neighborhood(self, i: int) -> np.ndarray:
@@ -104,16 +102,9 @@ def gen_erdos_renyi(n: int, p_edge: float, self_loops: bool = True, seed=0) -> C
     rng = np.random.default_rng(seed)
     nbrs = []
     for i in range(n):
-        u = rng.random(n)
-        nb = np.flatnonzero(u < p_edge)
-        if self_loops:
-            if np.searchsorted(nb, i) >= nb.size or nb[np.searchsorted(nb, i)] != i:
-                nb = np.insert(nb, np.searchsorted(nb, i), i)
-        else:
-            pos = np.searchsorted(nb, i)
-            if pos < nb.size and nb[pos] == i:
-                nb = np.delete(nb, pos)
-        nbrs.append(nb)
+        edge = rng.random(n) < p_edge
+        edge[i] = self_loops
+        nbrs.append(np.flatnonzero(edge))
     return CausalGraph(nbrs)
 
 

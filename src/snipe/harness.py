@@ -375,32 +375,41 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-_INT_KEYS = {"n", "beta", "graphs", "reps", "te_alpha"}
-_FLOAT_KEYS = {"p", "r", "d_expect", "scale", "thresh_lambda"}
+def _parse_int(text: str) -> int:
+    # the ExperimentConfig rule: an integral value such as "5000.0" is accepted
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
+def _split(text: str) -> list[str]:
+    return [v for v in text.replace(",", " ").split() if v]
+
+
+_PARSERS = {
+    "sweep": str,
+    "out": str,
+    "sweep_values": lambda text: tuple(float(v) for v in _split(text)),
+    "estimators": lambda text: tuple(_split(text)),
+    "cate_nodes": lambda text: tuple(_parse_int(v) for v in _split(text)),
+    **dict.fromkeys(("n", "beta", "graphs", "reps", "te_alpha"), _parse_int),
+    **dict.fromkeys(("p", "r", "d_expect", "scale", "thresh_lambda"), float),
+}
 
 
 def config_from_mapping(mapping: dict[str, str], base_seed: int) -> ExperimentConfig:
     """Build a config from string key/values (file or CLI); unknown keys are
-    rejected so typos fail loudly."""
+    rejected so typos fail loudly, and a value that does not parse names
+    its key."""
     kwargs: dict = {"base_seed": int(base_seed)}
     for key, value in mapping.items():
-        if key == "sweep":
-            kwargs["sweep"] = value
-        elif key == "sweep_values":
-            parts = [v for v in value.replace(",", " ").split() if v]
-            kwargs["sweep_values"] = tuple(float(v) for v in parts)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key == "estimators":
-            kwargs["estimators"] = tuple(v for v in value.replace(",", " ").split() if v)
-        elif key == "cate_nodes":
-            kwargs["cate_nodes"] = tuple(int(v) for v in value.replace(",", " ").split() if v)
-        elif key == "out":
-            kwargs["out"] = value
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key: {key}")
+        try:
+            kwargs[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: cannot parse {value!r} ({exc})") from None
     cfg = ExperimentConfig(**kwargs)
     if cfg.sweep in ("n", "beta"):
         cfg = replace(cfg, sweep_values=tuple(int(v) for v in cfg.sweep_values))

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimators import _check_order
 from .graph import CausalGraph
 
 __all__ = [
@@ -63,11 +64,10 @@ class OutcomesModel:
     def __init__(self, beta: int, terms: list[dict[Subset, float]], graph: CausalGraph):
         from scipy.sparse import csr_matrix
 
-        if beta < 1:
-            raise ValueError("beta must be >= 1")
+        beta = _check_order(beta, "beta")
         if len(terms) != graph.n:
             raise ValueError("need one term map per node")
-        self.beta, self.graph, n = int(beta), graph, graph.n
+        self.beta, self.graph, n = beta, graph, graph.n
         keys = [key for tmap in terms for key in tmap]
         owner = np.repeat(np.arange(n), [len(tmap) for tmap in terms])
         coeff = np.fromiter(chain.from_iterable(t.values() for t in terms), float, len(keys))
@@ -198,8 +198,7 @@ def gen_experiment_model(
     proportion to their in-degrees. `scale` multiplies every coefficient
     draw; r controls network relative to direct effects.
     """
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    beta = _check_order(beta, "beta")
     if r < 0:
         raise ValueError("r must be >= 0")
     if not g.has_self_loop.all():
@@ -212,8 +211,7 @@ def gen_experiment_model(
 
     # share v_j among out-neighbors of j (selves excluded on both sides),
     # proportional to the receiving node's in-degree
-    denom = np.zeros(n)
-    np.add.at(denom, g.nb_flat, np.repeat(g.in_degrees, g.in_degrees).astype(np.float64))
+    denom = g.in_csr().T @ g.in_degrees
     denom -= g.in_degrees * g.has_self_loop  # self-loop edges do not receive influence
     denom[denom == 0.0] = 1.0
 

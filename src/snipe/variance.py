@@ -10,7 +10,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._segments import segment_prod
 from .design import Design
 from .estimators import _check_lengths, snipe_weights
 from .graph import CausalGraph
@@ -43,7 +42,7 @@ _shared_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKey
 
 def _shared_index(g: CausalGraph) -> tuple:
     """Per-graph terms of conservative_variance, built once from
-    C = A A^T with A = g.in_csr() (itself cached on the graph), so that
+    C = A A^T with A = g.in_csr() (the graph's adjacency store), so that
     C_ij = |N_i & N_j|:
 
     - the inflation weights K_i = sum_{j : C_ij > 0} (2^{|N_j|} - 2^{|N_j| - C_ij});
@@ -89,22 +88,24 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     O(nnz(A) + the shared members of those pairs) work, A = g.in_csr().
     """
     Y, z = _check_lengths(g, Y, z)
-    k_node, pair_i, pair_j, shared = _shared_index(g)
+    A, (k_node, pair_i, pair_j, shared) = g.in_csr(), _shared_index(g)
     w = snipe_weights(g, z, design, beta)
     yw = Y * w
     u = np.where(np.asarray(z) == 1, design.probs, 1.0 - design.probs)
-    p_node = segment_prod(u[..., g.nb_flat], g.nb_off)
+    # products over CSR rows as sums of logs (Design keeps u > 0); empty ones give 1
+    log_u = np.log(u)
+    p_node = np.exp(log_u @ A.T, order="C")
     # term 1 by shared in-neighbor k, S = A^T yw: S_k^2 minus its diagonal
     # weighs each pair i != j by sum_{k shared} (1 - u_k), which is its
     # factor 1 - prod_{k shared} u_k whenever the pair shares one k. Every
-    # summed array is C-ordered (np.take, not yw[..., idx]), so a batch
-    # sums each draw exactly as a single draw does
+    # summed array is C-ordered (np.take, not yw[..., idx]; order="C"), so a
+    # batch sums each draw exactly as a single draw does
     yw2 = yw * yw
-    s, s2 = (np.ascontiguousarray(v @ g.in_csr()) for v in (yw, yw2))
+    s, s2 = (np.ascontiguousarray(v @ A) for v in (yw, yw2))
     term1 = ((1.0 - u) * (s * s - s2)).sum(axis=-1) + (yw2 * (1.0 - p_node)).sum(axis=-1)
     # the pairs sharing two or more, reduced over their rows of `shared`
     excess = (1.0 - u) @ shared.T
-    q = segment_prod(np.take(u, shared.indices, axis=-1), shared.indptr)
+    q = np.exp(log_u @ shared.T, order="C")
     yw_ij = np.take(yw, pair_i, axis=-1) * np.take(yw, pair_j, axis=-1)
     term1 = term1 - 2.0 * (yw_ij * (excess + q - 1.0)).sum(axis=-1)
     term2 = (p_node * yw * yw * k_node).sum(axis=-1)

@@ -23,7 +23,7 @@ from snipe.estimators import subsets_up_to
 from snipe.oracle import exact_moments
 from snipe.outcomes import OutcomesModel
 
-from snipe import conservative_variance, dm_thresh_tte, dm_tte, ht_tte, ls_fit
+from snipe import conservative_variance, dm_thresh_tte, dm_tte, gen_experiment_model, ht_tte, ls_fit
 from snipe.estimators import _ate_weights
 
 from _util import (
@@ -481,3 +481,58 @@ def test_estimators_validate_inputs(name):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             est(g, np.where(z == 1, bad, Y), z, d)
+
+
+def _order_calls(name):
+    # every public entry point that takes an interaction order, as a
+    # function of that order; every node of g has its self-loop
+    g = graph_from_neighbors([[0, 1], [0, 1, 2], [2, 3], [1, 3], [4], [4, 5], [5, 6], [0, 7]])
+    d = uniform_design(g.n, 0.4)
+    z = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+    Y = np.linspace(0.5, 2.0, g.n)
+    calls = {
+        "snipe_weight": lambda b: snipe_weight(g, 0, z, d, b),
+        "snipe_weights": lambda b: snipe_weights(g, z, d, b),
+        "snipe_tte": lambda b: snipe_tte(g, Y, z, d, b),
+        "snipe_tte_uniform": lambda b: snipe_tte_uniform(g, Y, z, 0.4, b),
+        "snipe_ate": lambda b: snipe_ate(g, Y, z, d, b),
+        "snipe_cate": lambda b: snipe_cate(g, Y, z, d, b, [0, 5]),
+        "snipe_te_alpha": lambda b: snipe_te_alpha(g, Y, z, d, b, 1),
+        "snipe_te_alpha(alpha)": lambda a: snipe_te_alpha(g, Y, z, d, 3, a),
+        "ls_fit": lambda b: ls_fit(g, Y, z, b),
+        "conservative_variance": lambda b: conservative_variance(g, Y, z, d, b),
+        "OutcomesModel": lambda b: OutcomesModel(b, [{(): 1.0}] * g.n, g),
+        "gen_experiment_model": lambda b: gen_experiment_model(g, b, 1.0, 0),
+    }
+    return calls[name]
+
+
+ORDER_TAKERS = [
+    "snipe_weight", "snipe_weights", "snipe_tte", "snipe_tte_uniform", "snipe_ate", "snipe_cate",
+    "snipe_te_alpha", "snipe_te_alpha(alpha)", "ls_fit", "conservative_variance", "OutcomesModel",
+    "gen_experiment_model",
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.float64(2.5), float("nan")], ids=repr)
+@pytest.mark.parametrize("fn", ORDER_TAKERS)
+def test_interaction_order_must_be_an_integer(fn, value):
+    # a bool or non-integral order is an error naming the parameter, never
+    # a truncated order or a TypeError from range()
+    param = "alpha" if "alpha)" in fn else "beta"
+    with pytest.raises(ValueError, match=param):
+        _order_calls(fn)(value)
+
+
+@pytest.mark.parametrize("fn", ORDER_TAKERS)
+def test_integral_order_values_are_accepted(fn):
+    call = _order_calls(fn)
+    want = call(2)
+    for value in (2.0, np.int64(2)):
+        got = call(value)
+        if fn in ("OutcomesModel", "gen_experiment_model"):
+            assert got.beta == want.beta == 2 and type(got.beta) is int
+        elif fn == "ls_fit":
+            assert np.array_equal(got.coefficients, want.coefficients)
+        else:
+            assert np.array_equal(got, want)

@@ -208,3 +208,13 @@ def test_graph_self_loops_follows_the_edges(tmp_path):
     assert load_graph(path).self_loops
     path.write_text('{"n": 2, "self_loops": false, "edges": [[0, 0], [0, 1]]}')
     assert not load_graph(path).self_loops
+
+
+def test_neighbor_arrays_are_the_adjacency_matrix():
+    # the scipy matrix is the one store: nb_flat and nb_off are its arrays
+    for g in (gen_erdos_renyi(60, 0.1, seed=3), graph_from_neighbors([[], [0], []]), graph_from_neighbors([[]])):
+        a = g.in_csr()
+        assert g.nb_flat is a.indices and g.nb_off is a.indptr
+        assert a.shape == (g.n, g.n) and np.array_equal(a.data, np.ones(g.nb_flat.size))
+        for i in range(g.n):
+            assert np.array_equal(g.in_neighborhood(i), a.indices[a.indptr[i] : a.indptr[i + 1]])

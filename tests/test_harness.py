@@ -236,3 +236,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("just some text\n")
     with pytest.raises(ValueError):
         parse_config_file(path)
+
+
+def test_config_parses_integral_values_and_names_bad_keys():
+    cfg = config_from_mapping({"n": "5000.0", "reps": "3", "cate_nodes": "1, 2.0"}, base_seed=1)
+    assert (cfg.n, cfg.reps, cfg.cate_nodes) == (5000, 3, (1, 2))
+    assert type(cfg.n) is int and type(cfg.reps) is int
+    for key, value in [("reps", "x"), ("n", "1.5"), ("graphs", "nan"), ("p", "abc"), ("sweep_values", "1 a"),
+                       ("cate_nodes", "0.5")]:
+        with pytest.raises(ValueError, match=f"config key {key}: cannot parse"):
+            config_from_mapping({key: value}, base_seed=1)
