@@ -32,7 +32,7 @@ def ht_tte(g: CausalGraph, Y, z, design: Design):
     neighborhoods, inverse-weighted by their design probabilities. Exactly
     unbiased under arbitrary neighborhood interference, but the indicators
     are almost always both zero once degrees are moderate."""
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     # products over N_i as sums of logs, finite because Design keeps 0 < p < 1
     A, p = g.in_csr(), design.probs
     prob_all = np.exp(A @ np.log(p))
@@ -65,7 +65,6 @@ def dm_thresh_tte(g: CausalGraph, Y, z, thresh: float) -> float:
     if not 0.0 <= thresh <= 1.0:
         raise ValueError("thresh must lie in [0, 1]")
     Y, z = _check_lengths(g, Y, z)
-    z = z.astype(np.int64)
     counts = _treated_counts(g, z)
     treated_nb = counts - z * g.has_self_loop  # treated units in N_i \ {i}
     size = g.in_degrees - g.has_self_loop
@@ -95,12 +94,14 @@ class RegressionFit:
     cond: float
     ridge: float
 
-    def predict(self, zi: float, x: float) -> float:
+    def predict(self, zi, x):
+        """The fitted outcome at treatment zi and covariate x; x may be an
+        array, and each element then matches a scalar call bit for bit."""
         c = self.coefficients
         beta = self.beta
         base = c[0] + sum(c[k] * x**k for k in range(1, beta + 1))
         inter = c[beta + 1] + sum(c[beta + 1 + k] * x**k for k in range(1, beta))
-        return float(base + zi * inter)
+        return base + zi * inter
 
 
 def _ls_covariate(g: CausalGraph, z, covariate: str) -> np.ndarray:
@@ -146,12 +147,6 @@ def ls_tte(fit: RegressionFit, g: CausalGraph) -> float:
     fitted anonymous model: the count covariate extrapolates each unit to
     all non-self neighbors treated, the proportion covariate to 1."""
     if fit.covariate == "count":
-        # RegressionFit.predict(1.0, x) at every node's x at once, in the
-        # same order of operations, so the value matches a per-node loop
         x = (g.in_degrees - g.has_self_loop).astype(np.float64)
-        c, beta = fit.coefficients, fit.beta
-        zero = np.zeros(g.n)
-        base = c[0] + sum((c[k] * x**k for k in range(1, beta + 1)), zero)
-        inter = c[beta + 1] + sum((c[beta + 1 + k] * x**k for k in range(1, beta)), zero)
-        return math.fsum(base + 1.0 * inter - fit.predict(0.0, 0.0)) / g.n
-    return fit.predict(1.0, 1.0) - fit.predict(0.0, 0.0)
+        return math.fsum(fit.predict(1.0, x) - fit.predict(0.0, 0.0)) / g.n
+    return float(fit.predict(1.0, 1.0) - fit.predict(0.0, 0.0))

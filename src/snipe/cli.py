@@ -117,8 +117,6 @@ def _cmd_estimate(args) -> int:
         design = uniform_design(g.n, args.p)
     else:
         raise ValueError("estimate needs --design-file or --p")
-    if Y.size != g.n:
-        raise ValueError(f"outcomes length {Y.size} != n = {g.n}")
     cate_nodes: tuple[int, ...] = ()
     if args.demographic_file:
         cate_nodes = tuple(

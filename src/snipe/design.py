@@ -47,10 +47,6 @@ class Design:
 
 def uniform_design(n: int, p: float) -> Design:
     """All-units-equal design; p_floor = min(p, 1-p)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
     return Design(np.full(n, float(p)))
 
 
@@ -71,12 +67,14 @@ def sample(design: Design, seed) -> np.ndarray:
 
 
 def validate_treatment_vector(z: np.ndarray, n: int) -> np.ndarray:
+    """z, of shape (n,) or (m, n) and holding only 0 and 1, as int64 (not
+    copied when it already is)."""
     z = np.asarray(z)
     if z.shape[-1] != n:
         raise ValueError(f"treatment vector length {z.shape[-1]} != n = {n}")
-    if not np.isin(z, (0, 1)).all():
-        raise ValueError("treatment vector entries must be 0 or 1")
-    return z.astype(np.int64)
+    if not ((z == 0) | (z == 1)).all():
+        raise ValueError("treatments must be 0 or 1")
+    return z.astype(np.int64, copy=False)
 
 
 def save_design(design: Design, path) -> None:

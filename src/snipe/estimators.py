@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design import Design
+from .design import Design, validate_treatment_vector
 from .graph import CausalGraph
 
 __all__ = [
@@ -92,14 +92,11 @@ def snipe_weight(g: CausalGraph, i: int, z, design: Design, beta: int) -> float:
     of size <= beta, enumerated by size then lexicographically."""
     beta = _check_order(beta, "beta")
     f = _centered_factors(z, design)
-    p = design.probs
     nb = g.in_neighborhood(i).tolist()
     terms = []
     for k in range(1, min(beta, len(nb)) + 1):
         for subset in combinations(nb, k):
-            ps = p[list(subset)]
-            gs = float(np.prod(1.0 - ps) - np.prod(-ps))
-            terms.append(gs * float(np.prod(f[list(subset)])))
+            terms.append(subset_coeff(subset, design) * float(np.prod(f[list(subset)])))
     return math.fsum(terms)
 
 
@@ -152,17 +149,16 @@ def snipe_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
     return sum(e_plus[1:]) - sum(e_minus[1:])
 
 
-def _check_lengths(g: CausalGraph | None, Y, z) -> tuple[np.ndarray, np.ndarray]:
+def _check_lengths(g: CausalGraph | None, Y, z, design: Design | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The input check of every public estimator: z holds 0/1 treatments
-    of length n (g.n, unless g is None), Y has z's shape and is finite."""
+    of length n (g.n, unless g is None), Y has z's shape and is finite,
+    and the design, when given, has length n."""
+    z = validate_treatment_vector(z, np.shape(z)[-1] if g is None else g.n)
     Y = np.asarray(Y, dtype=np.float64)
-    z = np.asarray(z)
-    if g is not None and z.shape[-1] != g.n:
-        raise ValueError(f"treatment vector length {z.shape[-1]} != n = {g.n}")
     if Y.shape != z.shape:
         raise ValueError(f"outcomes shape {Y.shape} != treatments shape {z.shape}")
-    if not ((z == 0) | (z == 1)).all():
-        raise ValueError("treatments must be 0 or 1")
+    if design is not None and design.n != z.shape[-1]:
+        raise ValueError(f"design length {design.n} != n = {z.shape[-1]}")
     if not np.isfinite(Y).all():
         raise ValueError("outcomes must be finite")
     return Y, z
@@ -187,7 +183,7 @@ def _mean_over_units(values: np.ndarray, n: int):
 
 def snipe_tte(g: CausalGraph, Y, z, design: Design, beta: int):
     """SNIPE(beta) total-treatment-effect point estimate (1/n) sum Y_i w_i."""
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     w = snipe_weights(g, z, design, beta)
     return _mean_over_units(Y * w, g.n)
 
@@ -333,7 +329,7 @@ def snipe_ate(g: CausalGraph, Y, z, design: Design, beta: int):
     beta = _check_order(beta, "beta")
     if not g.has_self_loop.all():
         raise ValueError("snipe_ate requires a self-loop on every node")
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     w = _ate_weights(g, z, design, beta)
     return _mean_over_units(Y * w, g.n)
 
@@ -363,12 +359,9 @@ def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
         raise ValueError("demographic D contains out-of-range nodes")
     if not g.has_self_loop[D].all():
         raise ValueError("snipe_cate requires a self-loop on every node of D")
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     w = _ate_weights(g, z, design, beta)
-    contrib = (Y * w)[..., D]
-    if contrib.ndim == 1:
-        return math.fsum(contrib.tolist()) / D.size
-    return contrib.sum(axis=-1) / D.size
+    return _mean_over_units((Y * w)[..., D], D.size)
 
 
 def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
@@ -385,7 +378,7 @@ def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
     beta, alpha = _check_order(beta, "beta"), _check_order(alpha, "alpha")
     if alpha > beta:
         raise ValueError("alpha must satisfy 1 <= alpha <= beta")
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     h = _h_factors(z, design)
     x = -h / design.probs  # factor for members of T
     w = sum(_esp2(_gather(g, x), _gather(g, h), alpha, beta - alpha))

@@ -12,9 +12,10 @@ import numpy as np
 
 from . import baselines, estimators
 from .baselines import UndefinedEstimateError
-from .design import sample, uniform_design
+from .design import Design, sample, uniform_design
+from .estimators import _check_order
 from .graph import CausalGraph, gen_erdos_renyi
-from .outcomes import OutcomesModel, evaluate, gen_experiment_model, ground_truth
+from .outcomes import GroundTruth, OutcomesModel, evaluate, gen_experiment_model, ground_truth
 from .variance import conservative_variance, worst_case_variance_bound
 
 __all__ = [
@@ -81,8 +82,9 @@ class ExperimentConfig:
         if self.sweep in ("n", "beta"):
             whole += [(f"sweep value of {self.sweep}", v) for v in self.sweep_values]
         for what, v in whole:
-            if not float(v).is_integer():
-                raise ValueError(f"{what} must be an integer, got {v!r}")
+            _check_order(v, what)
+        if not self.estimators or len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators must be non-empty and distinct, got {self.estimators!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -177,41 +179,36 @@ def _est_snipe_te(g, Y, z, design, params, cfg):
     return estimators.snipe_te_alpha(g, Y, z, design, params["beta"], cfg.te_alpha)
 
 
-def _truth_tte(model, gt, cfg):
-    return gt.tte
-
-
-def _truth_ate(model, gt, cfg):
-    return gt.ate
-
-
-def _truth_cate(model, gt, cfg):
-    return math.fsum(gt.direct[i] for i in cfg.cate_nodes) / len(cfg.cate_nodes)
-
-
-def _truth_te(model, gt, cfg):
-    return gt.te_alpha[cfg.te_alpha]
-
-
+# each name's estimator and the ground-truth estimand it targets
 ESTIMATOR_NAMES = {
-    "snipe": (_est_snipe, _truth_tte),
-    "snipe-uniform": (_est_snipe_uniform, _truth_tte),
-    "ht": (_est_ht, _truth_tte),
-    "dm": (_est_dm, _truth_tte),
-    "dm-thresh": (_est_dm_thresh, _truth_tte),
-    "ls-num": (_est_ls_num, _truth_tte),
-    "ls-prop": (_est_ls_prop, _truth_tte),
-    "snipe-ate": (_est_snipe_ate, _truth_ate),
-    "snipe-cate": (_est_snipe_cate, _truth_cate),
-    "snipe-te": (_est_snipe_te, _truth_te),
+    "snipe": (_est_snipe, "tte"),
+    "snipe-uniform": (_est_snipe_uniform, "tte"),
+    "ht": (_est_ht, "tte"),
+    "dm": (_est_dm, "tte"),
+    "dm-thresh": (_est_dm_thresh, "tte"),
+    "ls-num": (_est_ls_num, "tte"),
+    "ls-prop": (_est_ls_prop, "tte"),
+    "snipe-ate": (_est_snipe_ate, "ate"),
+    "snipe-cate": (_est_snipe_cate, "cate"),
+    "snipe-te": (_est_snipe_te, "te"),
 }
+
+
+def _estimand(gt: GroundTruth, name: str, cfg: ExperimentConfig) -> float:
+    if name == "cate":
+        return math.fsum(gt.direct[i] for i in cfg.cate_nodes) / len(cfg.cate_nodes)
+    if name == "te":
+        return gt.te_alpha[cfg.te_alpha]
+    return getattr(gt, name)
 
 
 def _default_model_factory(graph: CausalGraph, params: dict, cfg: ExperimentConfig, rng) -> OutcomesModel:
     return gen_experiment_model(graph, params["beta"], params["r"], rng, scale=cfg.scale)
 
 
-def _iter_graph_models(cfg: ExperimentConfig, sweep_idx: int, params: dict, model_factory):
+def _iter_graphs(cfg: ExperimentConfig, sweep_idx: int, params: dict, reps: int, model_factory):
+    """Each graph of one sweep point as (graph, model, ground truth, design,
+    draws); draws yields its `reps` assignments with their outcomes (z, Y)."""
     factory = model_factory or _default_model_factory
     p_edge = min(cfg.d_expect / params["n"], 1.0)
     for gidx in range(cfg.graphs):
@@ -219,7 +216,17 @@ def _iter_graph_models(cfg: ExperimentConfig, sweep_idx: int, params: dict, mode
             params["n"], p_edge, self_loops=True, seed=substream(cfg.base_seed, sweep_idx, gidx, 0)
         )
         model = factory(graph, params, cfg, substream(cfg.base_seed, sweep_idx, gidx, 1))
-        yield gidx, graph, model
+        gt = ground_truth(model)
+        design = uniform_design(params["n"], params["p"])
+        yield graph, model, gt, design, _draws(cfg.base_seed, sweep_idx, gidx, reps, design, model)
+
+
+def _draws(base_seed: int, sweep_idx: int, gidx: int, reps: int, design: Design, model: OutcomesModel):
+    # a function, not a generator expression, so that gidx is bound when the
+    # draws are made and a graph's draws stay its own if read late
+    for rep in range(reps):
+        z = sample(design, substream(base_seed, sweep_idx, gidx, 2 + rep))
+        yield z, evaluate(model, z)
 
 
 def run_experiment(cfg: ExperimentConfig, model_factory=None) -> list[ReplicationStats]:
@@ -238,20 +245,16 @@ def run_experiment(cfg: ExperimentConfig, model_factory=None) -> list[Replicatio
         raw: dict[str, list[float]] = {name: [] for name in cfg.estimators}
         excluded = {name: 0 for name in cfg.estimators}
         truths = []
-        for gidx, graph, model in _iter_graph_models(cfg, sweep_idx, params, model_factory):
-            gt = ground_truth(model)
-            design = uniform_design(params["n"], params["p"])
-            for rep in range(reps):
-                z = sample(design, substream(cfg.base_seed, sweep_idx, gidx, 2 + rep))
-                Y = evaluate(model, z)
+        for graph, model, gt, design, draws in _iter_graphs(cfg, sweep_idx, params, reps, model_factory):
+            for z, Y in draws:
                 for name in cfg.estimators:
-                    est_fn, truth_fn = ESTIMATOR_NAMES[name]
+                    est_fn, estimand = ESTIMATOR_NAMES[name]
                     try:
                         v = float(est_fn(graph, Y, z, design, params, cfg))
                     except UndefinedEstimateError:
                         excluded[name] += 1
                         continue
-                    truth = truth_fn(model, gt, cfg)
+                    truth = _estimand(gt, estimand, cfg)
                     norm = abs(truth) if truth != 0.0 else 1.0
                     rel[name].append((v - truth) / norm)
                     raw[name].append(v)
@@ -295,14 +298,10 @@ def run_variance_report(cfg: ExperimentConfig, model_factory=None) -> list[Varia
         cons: list[float] = []
         bounds: list[float] = []
         truths: list[float] = []
-        for gidx, graph, model in _iter_graph_models(cfg, sweep_idx, params, model_factory):
-            gt = ground_truth(model)
-            design = uniform_design(params["n"], params["p"])
+        for graph, model, gt, design, draws in _iter_graphs(cfg, sweep_idx, params, reps, model_factory):
             bounds.append(worst_case_variance_bound(graph, model, design))
             truths.append(gt.tte)
-            for rep in range(reps):
-                z = sample(design, substream(cfg.base_seed, sweep_idx, gidx, 2 + rep))
-                Y = evaluate(model, z)
+            for z, Y in draws:
                 ests.append(float(estimators.snipe_tte(graph, Y, z, design, params["beta"])))
                 cons.append(float(conservative_variance(graph, Y, z, design, params["beta"])))
         e = np.asarray(ests)
@@ -331,34 +330,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_experiment_csv(rows: list[ReplicationStats], path) -> None:
-    cols = ["sweep_var", "sweep_value", "estimator", "rel_bias", "rel_std", "rel_mse", "n_excluded"]
+def _write_csv(rows: list, cols: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for row in rows:
             writer.writerow([_fmt(getattr(row, c)) for c in cols])
+
+
+def write_experiment_csv(rows: list[ReplicationStats], path) -> None:
+    cols = ["sweep_var", "sweep_value", "estimator", "rel_bias", "rel_std", "rel_mse", "n_excluded"]
+    _write_csv(rows, cols, path)
 
 
 def write_variance_csv(rows: list[VarianceRow], path) -> None:
-    cols = [
-        "sweep_var",
-        "sweep_value",
-        "n",
-        "p",
-        "r",
-        "beta",
-        "empirical_variance",
-        "mean_conservative",
-        "mean_bound",
-        "mean_estimate",
-        "n_draws",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, c)) for c in cols])
+    cols = ["sweep_var", "sweep_value", "n", "p", "r", "beta", "empirical_variance", "mean_conservative",
+            "mean_bound", "mean_estimate", "n_draws"]
+    _write_csv(rows, cols, path)
 
 
 def parse_config_file(path) -> dict[str, str]:

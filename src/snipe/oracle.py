@@ -82,17 +82,16 @@ def exact_product_expectation(S, S_prime, design: Design) -> float:
 
     Used to validate the closed form 1(S subset of S') * prod_{S'\\S} p.
     """
-    n = design.n
-    if n > MAX_ORACLE_N:
-        raise ValueError(f"n = {n} exceeds the exhaustive-enumeration cap {MAX_ORACLE_N}")
     S = [int(v) for v in S]
     Sp = [int(v) for v in S_prime]
     p = design.probs
-    Z = enumerate_assignments(n)
-    P = _assignment_probs(Z, design)
-    vals = np.ones(Z.shape[0])
-    for j in S:
-        vals *= (Z[:, j] - p[j]) / (p[j] * (1.0 - p[j]))
-    for j in Sp:
-        vals *= Z[:, j]
-    return float(P @ vals)
+
+    def product(Z):
+        vals = np.ones(Z.shape[0])
+        for j in S:
+            vals *= (Z[:, j] - p[j]) / (p[j] * (1.0 - p[j]))
+        for j in Sp:
+            vals *= Z[:, j]
+        return vals
+
+    return exact_moments(product, design, batch=True).mean

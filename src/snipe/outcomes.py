@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .design import validate_treatment_vector
 from .estimators import _check_order
 from .graph import CausalGraph
 
@@ -151,11 +152,7 @@ def evaluate(model: OutcomesModel, z: np.ndarray) -> np.ndarray:
     treatment outside {0, 1}, which could reach a term's size without every
     member treated.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != model.n:
-        raise ValueError(f"treatment vector length {z.shape[-1]} != n = {model.n}")
-    if not ((z == 0.0) | (z == 1.0)).all():
-        raise ValueError("treatments must be 0 or 1")
+    z = validate_treatment_vector(z, model.n).astype(np.float64)
     counts = model.incidence @ z.T  # (terms,) or (terms, m); exact small integers
     active = counts.T == model.sizes
     # a batch sums to (n, m); order="C" returns it as m C-ordered rows

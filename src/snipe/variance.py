@@ -87,11 +87,11 @@ def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     sharing two or more in-neighbors are visited one by one: a draw costs
     O(nnz(A) + the shared members of those pairs) work, A = g.in_csr().
     """
-    Y, z = _check_lengths(g, Y, z)
+    Y, z = _check_lengths(g, Y, z, design)
     A, (k_node, pair_i, pair_j, shared) = g.in_csr(), _shared_index(g)
     w = snipe_weights(g, z, design, beta)
     yw = Y * w
-    u = np.where(np.asarray(z) == 1, design.probs, 1.0 - design.probs)
+    u = np.where(z == 1, design.probs, 1.0 - design.probs)
     # products over CSR rows as sums of logs (Design keeps u > 0); empty ones give 1
     log_u = np.log(u)
     p_node = np.exp(log_u @ A.T, order="C")

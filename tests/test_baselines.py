@@ -264,3 +264,16 @@ def test_dm_bias_exceeds_snipe_standard_error():
         snipe_rel.append((snipe_tte_uniform(g, Y, z, p, beta) - gt.tte) / abs(gt.tte))
     snipe_se = np.std(snipe_rel, ddof=1) / np.sqrt(reps)
     assert abs(np.mean(dm_rel)) > 3.0 * snipe_se
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+def test_predict_on_an_array_equals_per_element_calls(beta):
+    rng = np.random.default_rng(60 + beta)
+    g = random_graph(rng, 200, 0.05)
+    z = sample(uniform_design(200, 0.3), int(rng.integers(2**31)))
+    fit = ls_fit(g, rng.uniform(-1, 3, 200), z, beta, "count")
+    x = np.concatenate([np.arange(15.0), rng.uniform(0.0, 1.0, 20)])
+    for zi in (0.0, 1.0):
+        got = fit.predict(zi, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [fit.predict(zi, v) for v in x])

@@ -150,3 +150,16 @@ def test_variance_report_command(tmp_path):
 
 def test_verify_command():
     assert main(["verify", "--seed", "0"]) == EXIT_OK
+
+
+def test_estimate_rejects_a_design_file_of_another_length(tmp_path, capsys):
+    graph, zfile, yfile, dfile = (tmp_path / f for f in ("graph.json", "z.csv", "y.csv", "design.json"))
+    main(["gen-graph", "--n", "5", "--p-edge", "0.4", "--seed", "1", "--out", str(graph)])
+    zfile.write_text("1,0,1,0,1\n")
+    yfile.write_text("1,2,3,4,5\n")
+    dfile.write_text(json.dumps({"probs": [0.3]}))
+    for est in ("snipe", "ht"):
+        args = ["estimate", "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile),
+                "--design-file", str(dfile), "--estimator", est]
+        assert main(args) == EXIT_VALIDATION
+        assert "design length 1 != n = 5" in capsys.readouterr().err

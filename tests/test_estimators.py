@@ -9,6 +9,7 @@ from snipe import (
     subset_coeff,
     ground_truth,
     implicit_tte_weight,
+    load_treatment,
     sample,
     snipe_ate,
     snipe_cate,
@@ -536,3 +537,37 @@ def test_integral_order_values_are_accepted(fn):
             assert np.array_equal(got.coefficients, want.coefficients)
         else:
             assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------ one treatment check
+
+
+def test_every_treatment_check_gives_one_message(tmp_path):
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, 5, 0.4)
+    m = random_model(rng, g, 1)
+    z = np.array([0, 1, 2, 1, 0])
+    path = tmp_path / "z.csv"
+    path.write_text("0,1,2,1,0\n")
+    calls = [
+        lambda: evaluate(m, z),
+        lambda: snipe_tte(g, np.ones(5), z, uniform_design(5, 0.3), 1),
+        lambda: dm_tte(np.ones(5), z),
+        lambda: load_treatment(path),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^treatments must be 0 or 1$"):
+            call()
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize(
+    "name", ["snipe_tte", "snipe_ate", "snipe_cate", "snipe_te_alpha", "ht_tte", "conservative_variance"]
+)
+def test_estimators_reject_a_design_of_another_length(name, size):
+    # a length-1 design used to broadcast to a number, a length-7 one to
+    # fail with an error naming no argument
+    g = random_graph(np.random.default_rng(22), 6, 0.4)
+    z = np.array([1, 0, 1, 0, 1, 0])
+    with pytest.raises(ValueError, match=f"design length {size} != n = 6"):
+        _ESTIMATE[name](g, np.arange(6.0), z, uniform_design(size, 0.4))

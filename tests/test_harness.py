@@ -246,3 +246,19 @@ def test_config_parses_integral_values_and_names_bad_keys():
                        ("cate_nodes", "0.5")]:
         with pytest.raises(ValueError, match=f"config key {key}: cannot parse"):
             config_from_mapping({key: value}, base_seed=1)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": 0}, {"beta": 0}, {"sweep": "beta", "sweep_values": (1, 0)}, {"sweep": "n", "sweep_values": (0, 100)}],
+)
+def test_config_rejects_n_and_beta_below_one(fields):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        _small_cfg(**fields)
+
+
+@pytest.mark.parametrize("names", [("dm", "dm"), ()])
+def test_config_rejects_duplicate_or_no_estimators(names):
+    # ("dm", "dm") used to write two dm rows, each counting every draw twice
+    with pytest.raises(ValueError, match="estimators must be non-empty and distinct"):
+        ExperimentConfig(base_seed=0, n=60, graphs=1, reps=5, estimators=names)
