@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Design
-from .estimators import _check_lengths, _check_order, _mean_over_units, _treated_counts
+from .estimators import _check_lengths, _check_order, _treated_counts
 from .graph import CausalGraph
 
 __all__ = [
@@ -44,7 +44,7 @@ def ht_tte(g: CausalGraph, Y, z, design: Design):
     none_t = counts == 0
     w = np.divide(all_t, prob_all, out=np.zeros(all_t.shape), where=all_t)
     w -= np.divide(none_t, prob_none, out=np.zeros(none_t.shape), where=none_t)
-    return _mean_over_units(Y * w, g.n)
+    return (Y * w).mean(axis=-1)
 
 
 def dm_tte(Y, z) -> float:

@@ -50,19 +50,13 @@ def uniform_design(n: int, p: float) -> Design:
     return Design(np.full(n, float(p)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample(design: Design, seed) -> np.ndarray:
     """One independent Bernoulli(p_i) draw per unit; deterministic per seed.
 
-    Accepts an integer seed, a SeedSequence, or a Generator (so callers can
-    hand out independent substreams for parallel replications).
+    Accepts an integer seed, a SeedSequence, or a Generator, used as is (so
+    callers can hand out independent substreams for parallel replications).
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return (rng.random(design.n) < design.probs).astype(np.int64)
 
 

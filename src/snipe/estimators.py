@@ -164,44 +164,28 @@ def _check_lengths(g: CausalGraph | None, Y, z, design: Design | None = None) ->
     return Y, z
 
 
-def _compensated_sum(values: np.ndarray) -> float:
-    # pairwise partial sums combined exactly with fsum: compensated outer
-    # accumulation at a fraction of the cost of fsum over every element
-    if values.size <= 1024:
-        return math.fsum(values.tolist())
-    partials = np.add.reduceat(values, np.arange(0, values.size, 1024))
-    return math.fsum(partials.tolist())
-
-
-def _mean_over_units(values: np.ndarray, n: int):
-    # compensated summation on the scalar path keeps oracle comparisons
-    # tight at n = 10^4; batched rows use numpy's pairwise summation
-    if values.ndim == 1:
-        return _compensated_sum(values) / n
-    return values.sum(axis=-1) / n
-
-
 def snipe_tte(g: CausalGraph, Y, z, design: Design, beta: int):
     """SNIPE(beta) total-treatment-effect point estimate (1/n) sum Y_i w_i."""
     Y, z = _check_lengths(g, Y, z, design)
     w = snipe_weights(g, z, design, beta)
-    return _mean_over_units(Y * w, g.n)
+    return (Y * w).mean(axis=-1)
 
 
 @lru_cache(maxsize=64)
 def _uniform_weight_table(p: float, beta: int, t_max: int, m_max: int) -> np.ndarray:
-    # closed-form weight as a function of (treated, untreated) neighbor
-    # counts only; binomial coefficients are exact integers
-    table = np.empty((t_max + 1, m_max + 1))
-    for t in range(t_max + 1):
-        for m in range(m_max + 1):
-            terms = []
-            for k in range(min(beta, t) + 1):
-                for ell in range(min(beta - k, m) + 1):
-                    sign = -1.0 if (k + ell) % 2 else 1.0
-                    bracket = ((p - 1.0) / p) ** k - ((-p) / (1.0 - p)) ** ell
-                    terms.append(math.comb(t, k) * math.comb(m, ell) * sign * bracket)
-            table[t, m] = math.fsum(terms)
+    # weight of t treated and m untreated neighbors, where each subset of k treated
+    # and l untreated ones adds c_kl: sum_k C(t, k) sum_{l <= beta - k} C(m, l) c_kl,
+    # each sum_j C(x, j) c_j nested from the top as c_0 + x (c_1 + (x - 1)/2 (c_2 + ...)),
+    # whose factor x - j cuts off every term past x; built in place on one grid
+    a, b = (p - 1.0) / p, (-p) / (1.0 - p)
+    t, m = np.arange(t_max + 1.0)[:, None], np.arange(m_max + 1.0)
+    table = np.zeros((t_max + 1, m_max + 1))
+    for k in range(beta, -1, -1):
+        inner = 0.0
+        for ell in range(beta - k, -1, -1):
+            inner = (-1.0) ** (k + ell) * (a**k - b**ell) + (m - ell) / (ell + 1) * inner
+        table *= (t - k) / (k + 1)
+        table += inner
     return table
 
 
@@ -231,7 +215,7 @@ def snipe_tte_uniform(g: CausalGraph, Y, z, p: float, beta: int):
     # t * d_in + size; the float arithmetic is exact for these ranges
     flat = t * float(g.d_in) + g.in_degrees
     w = table.ravel().take(flat.astype(np.intp))
-    return _mean_over_units(Y * w, g.n)
+    return (Y * w).mean(axis=-1)
 
 
 def subsets_up_to(neigh, beta: int) -> list[tuple[int, ...]]:
@@ -331,7 +315,7 @@ def snipe_ate(g: CausalGraph, Y, z, design: Design, beta: int):
         raise ValueError("snipe_ate requires a self-loop on every node")
     Y, z = _check_lengths(g, Y, z, design)
     w = _ate_weights(g, z, design, beta)
-    return _mean_over_units(Y * w, g.n)
+    return (Y * w).mean(axis=-1)
 
 
 def _ate_weights(g: CausalGraph, z, design: Design, beta: int) -> np.ndarray:
@@ -361,7 +345,8 @@ def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
         raise ValueError("snipe_cate requires a self-loop on every node of D")
     Y, z = _check_lengths(g, Y, z, design)
     w = _ate_weights(g, z, design, beta)
-    return _mean_over_units((Y * w)[..., D], D.size)
+    # np.take keeps each batch row C-ordered, so it sums as a single call does
+    return np.take(Y * w, D, axis=-1).mean(axis=-1)
 
 
 def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
@@ -382,4 +367,4 @@ def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
     h = _h_factors(z, design)
     x = -h / design.probs  # factor for members of T
     w = sum(_esp2(_gather(g, x), _gather(g, h), alpha, beta - alpha))
-    return _mean_over_units(Y * w, g.n)
+    return (Y * w).mean(axis=-1)

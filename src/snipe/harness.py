@@ -88,6 +88,12 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        # the CATE estimand averages over distinct nodes of every swept graph
+        nodes, n_min = self.cate_nodes, int(min(self.sweep_values)) if self.sweep == "n" else self.n
+        if "snipe-cate" in self.estimators and not (
+            nodes and len(set(nodes)) == len(nodes) and 0 <= min(nodes) and max(nodes) < n_min
+        ):
+            raise ValueError(f"cate_nodes must be distinct node ids in [0, {n_min}), got {nodes!r}")
 
     def at(self, value):
         fixed = {k: getattr(self, k) for k in SWEEPABLE}

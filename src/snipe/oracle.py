@@ -27,13 +27,6 @@ def enumerate_assignments(n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n)) & 1).astype(np.int64)
 
 
-def _assignment_probs(Z: np.ndarray, design: Design) -> np.ndarray:
-    P = np.ones(Z.shape[0])
-    for j in range(Z.shape[1]):
-        P *= np.where(Z[:, j] == 1, design.probs[j], 1.0 - design.probs[j])
-    return P
-
-
 @dataclass
 class ExactMoments:
     """Exact mean and variance of an estimator over the full design support."""
@@ -63,7 +56,7 @@ def exact_moments(estimator, design: Design, batch: bool = False, label: str = "
     for start in range(0, size, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
         Z = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int64)
-        P = _assignment_probs(Z, design)
+        P = np.where(Z == 1, design.probs, 1.0 - design.probs).prod(axis=1)
         if batch:
             vals = np.asarray(estimator(Z), dtype=np.float64)
         else:

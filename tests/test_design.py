@@ -104,3 +104,14 @@ def test_design_loader_rejects_bad_containers(tmp_path, text, field):
 def test_nan_probability_rejected():
     with pytest.raises(ValueError):
         Design(np.array([0.5, np.nan]))
+
+
+def test_sample_uses_a_passed_generator_as_is():
+    # a Generator is advanced in place, not reseeded or copied, so a caller's
+    # substream yields successive independent draws
+    d = Design(np.array([0.2, 0.5, 0.7, 0.9]))
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    first = sample(d, rng)
+    assert np.array_equal(first, (twin.random(4) < d.probs).astype(np.int64))
+    assert np.array_equal(sample(d, rng), (twin.random(4) < d.probs).astype(np.int64))
+    assert rng.random() == twin.random()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from snipe.estimators import subsets_up_to
 from snipe.oracle import exact_moments
 from snipe.outcomes import OutcomesModel
 
-from snipe import conservative_variance, dm_thresh_tte, dm_tte, gen_experiment_model, ht_tte, ls_fit
-from snipe.estimators import _ate_weights
+from snipe import conservative_variance, dm_thresh_tte, dm_tte, gen_erdos_renyi, gen_experiment_model, ht_tte, ls_fit
+from snipe.estimators import _ate_weights, _uniform_weight_table
 
 from _util import (
     ate_weight_reference,
@@ -571,3 +573,82 @@ def test_estimators_reject_a_design_of_another_length(name, size):
     z = np.array([1, 0, 1, 0, 1, 0])
     with pytest.raises(ValueError, match=f"design length {size} != n = 6"):
         _ESTIMATE[name](g, np.arange(6.0), z, uniform_design(size, 0.4))
+
+
+# ------------------------------------------------- one mean over units, one table
+
+
+_BATCHED = {
+    "snipe_tte": lambda g, Y, z, d, b: snipe_tte(g, Y, z, d, b),
+    "snipe_tte_uniform": lambda g, Y, z, d, b: snipe_tte_uniform(g, Y, z, float(d.probs[0]), b),
+    "snipe_ate": lambda g, Y, z, d, b: snipe_ate(g, Y, z, d, b),
+    "snipe_cate": lambda g, Y, z, d, b: snipe_cate(g, Y, z, d, b, np.arange(0, g.n, 3)),
+    "snipe_te_alpha": lambda g, Y, z, d, b: snipe_te_alpha(g, Y, z, d, b, 1),
+    "ht_tte": lambda g, Y, z, d, b: ht_tte(g, Y, z, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batched_rows_equal_single_calls_bit_for_bit(name):
+    # the exhaustive oracle evaluates estimators on blocks of assignments
+    # and the Monte Carlo harness one draw at a time; both must see the
+    # same numbers, at an n large enough for summation order to matter
+    est = _BATCHED[name]
+    n = 5000
+    g = gen_erdos_renyi(n, 10 / n, self_loops=True, seed=11)
+    rng = np.random.default_rng(5)
+    designs = [uniform_design(n, 0.2)]
+    if name != "snipe_tte_uniform":
+        designs.append(Design(rng.uniform(0.1, 0.5, n)))
+    for beta in (1, 2, 3):
+        for d in designs:
+            Z = np.stack([sample(d, 1000 * beta + k) for k in range(6)])
+            Y = rng.normal(1.0, 2.0, Z.shape)
+            batched = est(g, Y, Z, d, beta)
+            single = np.array([est(g, Y[k], Z[k], d, beta) for k in range(6)])
+            assert np.array_equal(batched, single), (beta, batched - single)
+
+
+def _uniform_table_reference(p, beta, t_max, m_max):
+    # the literal double binomial sum per (t, m) with exact integer
+    # binomials, summed by fsum; also returns the sum of |terms|
+    table = np.empty((t_max + 1, m_max + 1))
+    scale = np.empty_like(table)
+    for t in range(t_max + 1):
+        for m in range(m_max + 1):
+            terms = [
+                math.comb(t, k) * math.comb(m, ell) * (-1.0) ** (k + ell)
+                * (((p - 1.0) / p) ** k - ((-p) / (1.0 - p)) ** ell)
+                for k in range(min(beta, t) + 1)
+                for ell in range(min(beta - k, m) + 1)
+            ]
+            table[t, m] = math.fsum(terms)
+            scale[t, m] = math.fsum(abs(v) for v in terms)
+    return table, scale
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("beta", [1, 2, 3, 4])
+def test_uniform_weight_table_matches_literal_binomial_sum(p, beta):
+    table = _uniform_weight_table(p, beta, 12, 12)
+    want, scale = _uniform_table_reference(p, beta, 12, 12)
+    assert table.shape == want.shape
+    assert np.all(np.abs(table - want) <= 1e-12 * scale)
+    if p == 0.2 and beta <= 2:  # every term and partial sum is exact here
+        assert np.array_equal(table, want)
+
+
+def test_uniform_fast_path_on_a_600_leaf_star():
+    # one hub reading itself and 600 leaves: the table spans in-degree 601,
+    # far past the degrees of the random graphs above
+    n = 601
+    g = graph_from_neighbors([list(range(n))] + [[i] for i in range(1, n)])
+    d = uniform_design(n, 0.2)
+    rng = np.random.default_rng(31)
+    Y = rng.uniform(-2.0, 2.0, n)
+    for beta in (1, 2, 3):
+        z = sample(d, 40 + beta)
+        w = snipe_weights(g, z, d, beta)
+        scale = np.abs(Y * w).sum() / n
+        fast = snipe_tte_uniform(g, Y, z, 0.2, beta)
+        assert abs(fast - snipe_tte(g, Y, z, d, beta)) <= 1e-9 * scale

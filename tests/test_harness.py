@@ -262,3 +262,28 @@ def test_config_rejects_duplicate_or_no_estimators(names):
     # ("dm", "dm") used to write two dm rows, each counting every draw twice
     with pytest.raises(ValueError, match="estimators must be non-empty and distinct"):
         ExperimentConfig(base_seed=0, n=60, graphs=1, reps=5, estimators=names)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"cate_nodes": ()},
+        {"cate_nodes": (1, 1, 5)},  # snipe_cate would drop the repeat, the estimand would not
+        {"cate_nodes": (-1, 5)},
+        {"cate_nodes": (5, 60)},
+        {"sweep": "n", "sweep_values": (100, 50), "cate_nodes": (5, 60)},  # every swept n counts
+    ],
+    ids=["empty", "duplicate", "negative", "n", "swept-n"],
+)
+def test_config_checks_cate_nodes_before_any_graph_is_built(fields):
+    base = dict(base_seed=3, n=60, graphs=2, reps=5, estimators=("snipe", "snipe-cate"))
+    with pytest.raises(ValueError, match="cate_nodes must be distinct node ids in"):
+        ExperimentConfig(**{**base, **fields})
+    # the nodes matter only to snipe-cate
+    ExperimentConfig(**{**base, **fields, "estimators": ("snipe",)})
+
+
+def test_config_accepts_cate_nodes_inside_every_swept_n():
+    cfg = ExperimentConfig(base_seed=3, sweep="n", sweep_values=(100, 50), graphs=1, reps=2,
+                           estimators=("snipe-cate",), cate_nodes=(0, 49))
+    assert [row.n_used for row in run_experiment(cfg)] == [2, 2]
