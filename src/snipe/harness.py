@@ -83,6 +83,20 @@ class ExperimentConfig:
             whole += [(f"sweep value of {self.sweep}", v) for v in self.sweep_values]
         for what, v in whole:
             _check_order(v, what)
+
+        def used(key):  # the values of p or r the sweep points run with
+            if self.sweep == key:
+                return [(f"sweep value of {key}", v) for v in self.sweep_values]
+            return [(key, getattr(self, key))]
+
+        for what, v in used("p"):
+            if not 0 < v < 1:
+                raise ValueError(f"{what} must lie strictly inside (0, 1), got {v!r}")
+        for what, v in used("r"):
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{what} must be finite and >= 0, got {v!r}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale!r}")
         if not self.estimators or len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators must be non-empty and distinct, got {self.estimators!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)

@@ -9,17 +9,21 @@ the neighborhood takes this form.
 A model keeps its terms once, as flat arrays grouped by node, with the
 nonempty terms as a sparse term-incidence matrix (terms x n, row t = the
 members of term t) and the coefficients as a sparse node-by-term matrix
-(n x terms, row i = node i's terms); dicts appear only at the constructor
-and in `OutcomesModel.terms`, for the JSON file format. A term's product
-is 1 exactly when its treated-member count reaches its size, so `evaluate`
-is two sparse products around one comparison.
+(n x terms, row i = node i's terms). The benchmark generator builds those
+arrays directly from the graph's CSR; dicts appear only at the constructor,
+which flattens them into the same store, and in `OutcomesModel.terms`, for
+the JSON file format. A term's product is 1 exactly when its
+treated-member count reaches its size, so `evaluate` is two sparse
+products around one comparison.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -63,18 +67,27 @@ class OutcomesModel:
     """
 
     def __init__(self, beta: int, terms: list[dict[Subset, float]], graph: CausalGraph):
+        if len(terms) != graph.n:
+            raise ValueError("need one term map per node")
+        keys = [key for tmap in terms for key in tmap]
+        owner = np.repeat(np.arange(graph.n), [len(tmap) for tmap in terms])
+        coeff = np.fromiter(chain.from_iterable(t.values() for t in terms), float, len(keys))
+        size = np.fromiter(map(len, keys), np.int64, len(keys))
+        raw = np.fromiter(chain.from_iterable(keys), float, int(size.sum()))
+        self._store(beta, graph, owner, coeff, size, raw)
+
+    def _store(self, beta, graph, owner, coeff, size, raw) -> None:
+        """The one path into the arrays: term t of node owner[t] has
+        coefficient coeff[t] and the size[t] members that follow the earlier
+        terms' members in `raw` (floats, so that a non-integer is named).
+        Every term is validated, each node's terms are sorted by subset, and
+        the two CSR matrices are built."""
         from scipy.sparse import csr_matrix
 
         beta = _check_order(beta, "beta")
-        if len(terms) != graph.n:
-            raise ValueError("need one term map per node")
         self.beta, self.graph, n = beta, graph, graph.n
-        keys = [key for tmap in terms for key in tmap]
-        owner = np.repeat(np.arange(n), [len(tmap) for tmap in terms])
-        coeff = np.fromiter(chain.from_iterable(t.values() for t in terms), float, len(keys))
-        size = np.fromiter(map(len, keys), np.int64, len(keys))
-        tid = np.repeat(np.arange(len(keys)), size)  # the term of each member slot
-        raw = np.fromiter(chain.from_iterable(keys), float, tid.size)
+        start = np.cumsum(size) - size  # each term's first member in raw
+        tid = np.repeat(np.arange(size.size), size)  # the term of each member slot
         members = np.clip(np.nan_to_num(raw), 0, max(n - 1, 0)).astype(np.int64)
         # member j of node i lies in N_i when i*n + j is among the graph's edge
         # keys, which are sorted because its CSR rows are
@@ -84,19 +97,21 @@ class OutcomesModel:
         unsorted = np.append(False, (tid[1:] == tid[:-1]) & (np.diff(members) <= 0))
         for bad, why in [
             (~np.isfinite(coeff), "has a non-finite coefficient"),
-            (np.bincount(tid, raw != np.floor(raw), len(keys)) > 0, "has non-integer members"),
-            (np.bincount(tid, outside, len(keys)) > 0, "is not inside its in-neighborhood"),
-            (np.bincount(tid, unsorted, len(keys)) > 0, "is not sorted/duplicate-free"),
+            (np.bincount(tid, raw != np.floor(raw), size.size) > 0, "has non-integer members"),
+            (np.bincount(tid, outside, size.size) > 0, "is not inside its in-neighborhood"),
+            (np.bincount(tid, unsorted, size.size) > 0, "is not sorted/duplicate-free"),
             (size > beta, f"exceeds order beta={beta}"),
         ]:
             if bad.any():
                 t = int(bad.argmax())
-                raise ValueError(f"subset {keys[t]} of node {owner[t]} {why}")
+                a = start[t]
+                subset = tuple(int(j) if j.is_integer() else j for j in raw[a : a + size[t]].tolist())
+                raise ValueError(f"subset {subset} of node {owner[t]} {why}")
 
         # sort each node's terms by subset: one row of members per term,
         # padded with -1 so that a prefix sorts before its extensions
-        rows = np.full((len(keys), int(size.max(initial=0))), -1)
-        rows[tid, np.arange(tid.size) - np.repeat(np.cumsum(size) - size, size)] = members
+        rows = np.full((size.size, int(size.max(initial=0))), -1)
+        rows[tid, np.arange(tid.size) - start[tid]] = members
         order = np.lexsort([*rows.T[::-1], owner])
         self.const = np.zeros(n)
         self.const[owner[size == 0]] += coeff[size == 0]
@@ -188,49 +203,98 @@ def gen_experiment_model(
     Per node i the closed form is
         Y_i(z) = c0_i + sum_{j in N_i} w_ij z_j
                  + sum_{l=2..beta} (sum_j w_ij z_j / sum_j w_ij)**l,
-    expanded exactly into the sparse subset-coefficient map. Draws:
+    expanded exactly into subset coefficients. Draws:
     c0_i ~ U[0, scale], w_ii ~ U[0, scale], and for j != i
     w_ij = v_j |N_i| / sum_{k in out(j), k != j} |N_k| with v_j ~ U[0, scale*r],
     so each unit's total influence v_j is split among its out-neighbors in
     proportion to their in-degrees. `scale` multiplies every coefficient
     draw; r controls network relative to direct effects.
+
+    The terms are built as arrays over the graph's CSR slots: every subset
+    of size <= beta of each in-neighborhood, with the linear weight plus
+    each power's coefficient (`_power_coeffs`) summed in the order
+    l = 2..beta. At beta <= 2 every coefficient equals the per-node
+    expansion with `expand_power` bit for bit.
     """
     beta = _check_order(beta, "beta")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     if not g.has_self_loop.all():
         raise ValueError("every node needs a self-loop so its direct effect is defined")
     rng = np.random.default_rng(seed)
-    n = g.n
+    n, deg, nb = g.n, g.in_degrees, g.nb_flat
     c_base = rng.random(n) * scale
     c_self = rng.random(n) * scale
     v = rng.random(n) * (scale * r)
 
     # share v_j among out-neighbors of j (selves excluded on both sides),
     # proportional to the receiving node's in-degree
-    denom = g.in_csr().T @ g.in_degrees
-    denom -= g.in_degrees * g.has_self_loop  # self-loop edges do not receive influence
+    denom = g.in_csr().T @ deg
+    denom -= deg * g.has_self_loop  # self-loop edges do not receive influence
     denom[denom == 0.0] = 1.0
+    row = np.repeat(np.arange(n), deg)  # the node owning each CSR slot
+    w = np.where(nb == row, c_self[row], v[nb] * deg[row] / denom[nb])
 
-    terms: list[dict[Subset, float]] = []
-    for i in range(n):
-        nb = g.in_neighborhood(i)
-        w = np.where(nb == i, c_self[i], v[nb] * g.in_degrees[i] / denom[nb])
-        tmap: dict[Subset, float] = {(): float(c_base[i])}
-        for j, wj in zip(nb.tolist(), w.tolist()):
-            tmap[(j,)] = tmap.get((j,), 0.0) + wj
-        if beta >= 2:
-            total = float(w.sum())
-            if total == 0.0:
-                raise DegenerateModelError(
-                    f"node {i}: zero total linear weight, cannot normalize interaction terms"
-                )
-            norm = {int(j): float(wj) / total for j, wj in zip(nb, w)}
-            for ell in range(2, beta + 1):
-                for subset, coeff in expand_power(norm, ell).items():
-                    tmap[subset] = tmap.get(subset, 0.0) + coeff
-        terms.append(tmap)
-    return OutcomesModel(beta, terms, g)
+    # each row's subsets of size 1..beta as slot tuples, lexicographic, so a
+    # later member is a later slot of the same row
+    subsets = [np.arange(nb.size)[:, None]]
+    row_end = g.nb_off[1:][row]
+    for _ in range(beta - 1):
+        c = subsets[-1]
+        last = c[:, -1]
+        more = row_end[last] - last - 1
+        pick = np.repeat(np.arange(len(c)), more)
+        nxt = np.arange(pick.size) - np.repeat(np.cumsum(more) - more, more) + last[pick] + 1
+        subsets.append(np.column_stack([c[pick], nxt]))
+
+    # every coefficient starts from 0.0, as a dict of sums does
+    coeff = [0.0 + w] + [np.zeros(len(c)) for c in subsets[1:]]
+    if beta >= 2:
+        # a node's total is summed as w[a:b].sum() would be: numpy sums each
+        # contiguous row of a (rows, d) block exactly like a length-d vector
+        total = np.zeros(n)
+        for d in np.unique(deg):
+            rows = np.flatnonzero(deg == d)
+            total[rows] = w[g.nb_off[rows, None] + np.arange(d)].sum(axis=1)
+        if (total == 0.0).any():
+            i = int((total == 0.0).argmax())
+            raise DegenerateModelError(
+                f"node {i}: zero total linear weight, cannot normalize interaction terms"
+            )
+        x = w / total[row]
+        for co, c in zip(coeff, subsets):
+            for a in _power_coeffs(x[c], beta):
+                co += a
+    size = np.repeat(np.arange(beta + 1), [n] + [len(c) for c in subsets])
+    owner = np.concatenate([np.arange(n)] + [row[c[:, 0]] for c in subsets])
+    raw = np.concatenate([nb[c].ravel() for c in subsets]).astype(float)
+    model = OutcomesModel.__new__(OutcomesModel)
+    model._store(beta, g, owner, np.concatenate([c_base, *coeff]), size, raw)
+    return model
+
+
+def _power_coeffs(X: np.ndarray, beta: int) -> list[np.ndarray]:
+    """Coefficient of prod_{j in T} z_j in (sum_j x_j z_j)**l over binary z,
+    for each row T of X (members' x values) and each l = max(2, |T|)..beta:
+    the sum over ways to give every member k_j >= 1 of the l factors,
+    multinomial(l; k) prod_j x_j**k_j, built one member at a time. At l = 2
+    this is x_a * x_a for a single and 2 * (x_b * x_a) for a pair, both
+    exactly as a dict expansion sums them."""
+    s = X.shape[1]
+    # a[m]: the coefficient of the members so far in a product of m
+    # factors, each member taking at least one
+    a: dict = {0: 1.0}
+    for col in range(s):
+        pw = [None, X[:, col]]
+        for _ in range(beta - s):
+            pw.append(pw[-1] * X[:, col])
+        a = {
+            m: reduce(add, [math.comb(m, k) * (pw[k] * a[m - k]) for k in range(1, m + 1) if m - k in a])
+            for m in range(col + 1, beta - s + col + 2)
+        }
+    return [a[ell] for ell in range(max(2, s), beta + 1)]
 
 
 def ground_truth(model: OutcomesModel) -> GroundTruth:

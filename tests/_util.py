@@ -7,7 +7,17 @@ from itertools import combinations
 
 import numpy as np
 
-from snipe import CausalGraph, Design, gen_erdos_renyi, gen_experiment_model, uniform_design
+from hypothesis import strategies as st
+
+from snipe import (
+    CausalGraph,
+    DegenerateModelError,
+    Design,
+    expand_power,
+    gen_erdos_renyi,
+    gen_experiment_model,
+    uniform_design,
+)
 
 
 def random_graph(rng, n, p_edge=0.4, self_loops=True):
@@ -26,6 +36,60 @@ def random_model(rng, g, beta, r=1.5, scale=1.0):
 
 def graph_from_neighbors(neighbors):
     return CausalGraph([np.asarray(sorted(nb), dtype=np.int64) for nb in neighbors])
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    rows = [draw(st.sets(st.integers(0, n - 1))) for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "no self-loops", "tied", "hub", "edgeless"]))
+    if kind == "no self-loops":
+        rows = [r - {i} for i, r in enumerate(rows)]
+    elif kind == "tied":  # every node has in-degree d
+        d = draw(st.integers(0, n))
+        rows = [{(i + k) % n for k in range(d)} for i in range(n)]
+    elif kind == "hub":
+        rows[draw(st.integers(0, n - 1))] = set(range(n))
+    elif kind == "edgeless":
+        rows = [set() for _ in range(n)]
+    return graph_from_neighbors(rows)
+
+
+def experiment_model_reference(g, beta, r, seed, scale=1.0):
+    """The per-node dict build of `gen_experiment_model`, kept verbatim from
+    before its terms were built as arrays: the same draws, then one dict per
+    node expanded with `expand_power`. Returns the per-node term maps."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    c_base = rng.random(n) * scale
+    c_self = rng.random(n) * scale
+    v = rng.random(n) * (scale * r)
+
+    # share v_j among out-neighbors of j (selves excluded on both sides),
+    # proportional to the receiving node's in-degree
+    denom = g.in_csr().T @ g.in_degrees
+    denom -= g.in_degrees * g.has_self_loop  # self-loop edges do not receive influence
+    denom[denom == 0.0] = 1.0
+
+    terms = []
+    for i in range(n):
+        nb = g.in_neighborhood(i)
+        w = np.where(nb == i, c_self[i], v[nb] * g.in_degrees[i] / denom[nb])
+        tmap = {(): float(c_base[i])}
+        for j, wj in zip(nb.tolist(), w.tolist()):
+            tmap[(j,)] = tmap.get((j,), 0.0) + wj
+        if beta >= 2:
+            total = float(w.sum())
+            if total == 0.0:
+                raise DegenerateModelError(
+                    f"node {i}: zero total linear weight, cannot normalize interaction terms"
+                )
+            norm = {int(j): float(wj) / total for j, wj in zip(nb, w)}
+            for ell in range(2, beta + 1):
+                for subset, coeff in expand_power(norm, ell).items():
+                    tmap[subset] = tmap.get(subset, 0.0) + coeff
+        terms.append(tmap)
+    return terms
 
 
 def subset_weight_reference(g, i, z, design, beta):

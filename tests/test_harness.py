@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,34 @@ def test_config_checks_cate_nodes_before_any_graph_is_built(fields):
         ExperimentConfig(**{**base, **fields})
     # the nodes matter only to snipe-cate
     ExperimentConfig(**{**base, **fields, "estimators": ("snipe",)})
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"p": 0.0}, "p must lie strictly inside"),
+        ({"p": 1.0}, "p must lie strictly inside"),
+        ({"p": math.nan}, "p must lie strictly inside"),
+        ({"sweep": "p", "sweep_values": (0.2, 1.5)}, "sweep value of p must lie strictly inside"),
+        ({"r": -1.0}, "r must be finite and >= 0"),
+        ({"r": math.nan}, "r must be finite and >= 0"),
+        ({"sweep": "r", "sweep_values": (1.0, math.inf)}, "sweep value of r must be finite and >= 0"),
+        ({"scale": math.nan}, "scale must be finite"),
+        ({"scale": -math.inf}, "scale must be finite"),
+    ],
+    ids=["p0", "p1", "p-nan", "swept-p", "r-negative", "r-nan", "swept-r", "scale-nan", "scale-inf"],
+)
+def test_config_checks_p_r_and_scale_before_any_graph_is_built(fields, match):
+    with pytest.raises(ValueError, match=f"^{match}"):
+        ExperimentConfig(**{"base_seed": 3, "sweep": "beta", "sweep_values": (1,), "n": 60, **fields})
+
+
+def test_config_ignores_the_fixed_value_a_sweep_replaces():
+    # the fixed p or r is never used when that parameter is swept
+    cfg = ExperimentConfig(base_seed=3, sweep="r", sweep_values=(1.0,), r=-1.0, n=30, graphs=1, reps=2,
+                           estimators=("snipe",))
+    assert [row.n_used for row in run_experiment(cfg)] == [2]
+    ExperimentConfig(base_seed=3, sweep="p", sweep_values=(0.3,), p=0.0)
 
 
 def test_config_accepts_cate_nodes_inside_every_swept_n():

@@ -10,24 +10,7 @@ from hypothesis import strategies as st
 from snipe import Design, snipe_weights
 from snipe.estimators import _ate_weights
 
-from _util import ate_weight_reference, graph_from_neighbors, subset_weight_reference
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 10))
-    rows = [draw(st.sets(st.integers(0, n - 1))) for _ in range(n)]
-    kind = draw(st.sampled_from(["random", "no self-loops", "tied", "hub", "edgeless"]))
-    if kind == "no self-loops":
-        rows = [r - {i} for i, r in enumerate(rows)]
-    elif kind == "tied":  # every node has in-degree d
-        d = draw(st.integers(0, n))
-        rows = [{(i + k) % n for k in range(d)} for i in range(n)]
-    elif kind == "hub":
-        rows[draw(st.integers(0, n - 1))] = set(range(n))
-    elif kind == "edgeless":
-        rows = [set() for _ in range(n)]
-    return graph_from_neighbors(rows)
+from _util import ate_weight_reference, small_graphs, subset_weight_reference
 
 
 def _weight_scale(g, i, z, p, beta):

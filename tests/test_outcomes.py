@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ from snipe import (
     gen_experiment_model,
     ground_truth,
     load_model,
-    outcomes,
     save_model,
     uniform_design,
     sample,
 )
 
-from _util import graph_from_neighbors, random_graph, random_model
+from _util import experiment_model_reference, graph_from_neighbors, random_graph, random_model, small_graphs
 
 
 def test_evaluate_zero_model():
@@ -224,8 +224,9 @@ def test_gen_model_two_node_multinomial_expansion():
 
 def test_gen_model_degenerate_normalization_raises():
     g = graph_from_neighbors([[0]])
-    with pytest.raises(DegenerateModelError):
-        gen_experiment_model(g, 2, 1.0, seed=0, scale=0.0)
+    for beta in (2, 3):
+        with pytest.raises(DegenerateModelError, match="^node 0: zero total linear weight"):
+            gen_experiment_model(g, beta, 1.0, seed=0, scale=0.0)
     # no normalization needed for beta = 1, so zero scale is fine there
     m = gen_experiment_model(g, 1, 1.0, seed=0, scale=0.0)
     assert ground_truth(m).tte == 0.0
@@ -391,20 +392,61 @@ def test_ground_truth_is_fsum_of_literal_coefficients(beta, terms, g):
     assert gt.direct.tolist() == [tmap.get((i,), 0.0) for i, tmap in enumerate(terms)]
 
 
-def test_ground_truth_is_fsum_at_benchmark_scale(monkeypatch):
+def test_ground_truth_is_fsum_at_benchmark_scale():
     # at n=5000, beta=2 a running sum over the ~330k coefficients is off in
     # the last bits of tte; math.fsum over the arrays is exactly rounded
-    built = []
-
-    def capture(beta, terms, g):
-        built.append(terms)
-        return OutcomesModel(beta, terms, g)
-
-    monkeypatch.setattr(outcomes, "OutcomesModel", capture)
     g = gen_erdos_renyi(5000, 10 / 5000, self_loops=True, seed=1)
     m = gen_experiment_model(g, 2, 2.0, seed=5, scale=5.0)
     gt = ground_truth(m)
-    assert (gt.tte, gt.ate, gt.te_alpha, gt.y_max) == _literal_ground_truth(m, built[0])
+    terms = experiment_model_reference(g, 2, 2.0, 5, scale=5.0)
+    assert (gt.tte, gt.ate, gt.te_alpha, gt.y_max) == _literal_ground_truth(m, terms)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_gen_model_equals_dict_reference_at_benchmark_scale(beta):
+    g = gen_erdos_renyi(5000, 10 / 5000, self_loops=True, seed=1)
+    m = gen_experiment_model(g, beta, 2.0, seed=5, scale=5.0)
+    ref = OutcomesModel(beta, experiment_model_reference(g, beta, 2.0, 5, scale=5.0), g)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(_model_arrays(m), _model_arrays(ref)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=small_graphs(),
+    beta=st.integers(1, 4),
+    r=st.sampled_from([0.0, 0.5, 2.0, 7.0]),
+    scale=st.sampled_from([0.0, 1.0, 5.0, -2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gen_model_equals_dict_reference(g, beta, r, scale, seed):
+    # the generator needs self-loops: add one to every row, keeping n=1,
+    # the hub and the rows that held nothing else
+    g = graph_from_neighbors([set(g.in_neighborhood(i).tolist()) | {i} for i in range(g.n)])
+    try:
+        terms = experiment_model_reference(g, beta, r, seed, scale=scale)
+    except DegenerateModelError as err:
+        with pytest.raises(DegenerateModelError, match=f"^{re.escape(str(err))}$"):
+            gen_experiment_model(g, beta, r, seed, scale=scale)
+        return
+    m, ref = gen_experiment_model(g, beta, r, seed, scale=scale), OutcomesModel(beta, terms, g)
+    # beyond beta=2 the powers are summed in another order: the coefficients
+    # agree within 1e-15 of each node's sum of |c|, every other array exactly
+    arrays = zip(_model_arrays(m), _model_arrays(ref))
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in arrays if beta <= 2 or a is not m.coeffs)
+    owner = np.repeat(np.arange(g.n), np.diff(ref.node_off))
+    norm = np.abs(ref.const) + np.bincount(owner, np.abs(ref.coeffs), g.n)
+    assert np.all(np.abs(m.coeffs - ref.coeffs) <= 1e-15 * norm[owner])
+
+
+@pytest.mark.parametrize("r, scale, name", [(math.nan, 1.0, "r"), (math.inf, 1.0, "r"), (1.0, math.inf, "scale"),
+                                            (1.0, math.nan, "scale")])
+def test_gen_model_rejects_non_finite_r_and_scale_before_any_draw(r, scale, name):
+    g = graph_from_neighbors([[0, 1], [1]])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        gen_experiment_model(g, 2, r, rng, scale=scale)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("m", _evaluate_cases())
