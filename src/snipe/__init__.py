@@ -36,7 +36,6 @@ from .estimators import (
 from .graph import (
     CausalGraph,
     gen_erdos_renyi,
-    in_neighborhood,
     load_graph,
     save_graph,
 )
@@ -54,7 +53,6 @@ from .outcomes import (
     GroundTruth,
     OutcomesModel,
     evaluate,
-    expand_power,
     gen_experiment_model,
     ground_truth,
     load_model,

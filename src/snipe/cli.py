@@ -122,8 +122,12 @@ def _cmd_estimate(args) -> int:
         cate_nodes = tuple(
             int(line) for line in Path(args.demographic_file).read_text().split() if line.strip()
         )
+    # the config checks the values of the one estimator this call runs
     cfg = harness.ExperimentConfig(
         base_seed=0,
+        n=g.n,
+        beta=args.beta,
+        estimators=(args.estimator,),
         thresh_lambda=args.thresh_lambda,
         te_alpha=args.alpha,
         cate_nodes=cate_nodes,

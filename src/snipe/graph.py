@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "CausalGraph",
     "gen_erdos_renyi",
-    "in_neighborhood",
     "save_graph",
     "load_graph",
 ]
@@ -106,10 +105,6 @@ def gen_erdos_renyi(n: int, p_edge: float, self_loops: bool = True, seed=0) -> C
         edge[i] = self_loops
         nbrs.append(np.flatnonzero(edge))
     return CausalGraph(nbrs)
-
-
-def in_neighborhood(g: CausalGraph, i: int) -> np.ndarray:
-    return g.in_neighborhood(i)
 
 
 def save_graph(g: CausalGraph, path) -> None:

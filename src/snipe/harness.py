@@ -84,7 +84,7 @@ class ExperimentConfig:
         for what, v in whole:
             _check_order(v, what)
 
-        def used(key):  # the values of p or r the sweep points run with
+        def used(key):  # the values of p, r or beta the sweep points run with
             if self.sweep == key:
                 return [(f"sweep value of {key}", v) for v in self.sweep_values]
             return [(key, getattr(self, key))]
@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ValueError(f"{what} must be finite and >= 0, got {v!r}")
         if not math.isfinite(self.scale):
             raise ValueError(f"scale must be finite, got {self.scale!r}")
+        if not (math.isfinite(self.d_expect) and self.d_expect > 0):
+            raise ValueError(f"d_expect must be finite and > 0, got {self.d_expect!r}")
         if not self.estimators or len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators must be non-empty and distinct, got {self.estimators!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -108,6 +110,13 @@ class ExperimentConfig:
             nodes and len(set(nodes)) == len(nodes) and 0 <= min(nodes) and max(nodes) < n_min
         ):
             raise ValueError(f"cate_nodes must be distinct node ids in [0, {n_min}), got {nodes!r}")
+        if "dm-thresh" in self.estimators and not 0 <= self.thresh_lambda <= 1:
+            raise ValueError(f"thresh_lambda must lie in [0, 1], got {self.thresh_lambda!r}")
+        if "snipe-te" in self.estimators:
+            alpha = _check_order(self.te_alpha, "te_alpha")
+            for what, v in used("beta"):
+                if alpha > v:
+                    raise ValueError(f"te_alpha must satisfy 1 <= te_alpha <= {what}, got {alpha} > {v}")
 
     def at(self, value):
         fixed = {k: getattr(self, k) for k in SWEEPABLE}

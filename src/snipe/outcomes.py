@@ -12,7 +12,10 @@ members of term t) and the coefficients as a sparse node-by-term matrix
 (n x terms, row i = node i's terms). The benchmark generator builds those
 arrays directly from the graph's CSR; dicts appear only at the constructor,
 which flattens them into the same store, and in `OutcomesModel.terms`, for
-the JSON file format. A term's product is 1 exactly when its
+the JSON file format. The store sorts the terms with one `lexsort` over
+keys that pack (owner, members) into as few int64 words as fit, and frees
+each check's temporaries before the next, so a build peaks at under three
+times the arrays it returns. A term's product is 1 exactly when its
 treated-member count reaches its size, so `evaluate` is two sparse
 products around one comparison.
 """
@@ -37,7 +40,6 @@ __all__ = [
     "OutcomesModel",
     "GroundTruth",
     "evaluate",
-    "expand_power",
     "gen_experiment_model",
     "ground_truth",
     "save_model",
@@ -81,45 +83,70 @@ class OutcomesModel:
         coefficient coeff[t] and the size[t] members that follow the earlier
         terms' members in `raw` (floats, so that a non-integer is named).
         Every term is validated, each node's terms are sorted by subset, and
-        the two CSR matrices are built."""
+        the two CSR matrices are built. Each check's temporaries are freed
+        before the next is built, which bounds the peak."""
         from scipy.sparse import csr_matrix
 
         beta = _check_order(beta, "beta")
         self.beta, self.graph, n = beta, graph, graph.n
         start = np.cumsum(size) - size  # each term's first member in raw
-        tid = np.repeat(np.arange(size.size), size)  # the term of each member slot
-        members = np.clip(np.nan_to_num(raw), 0, max(n - 1, 0)).astype(np.int64)
-        # member j of node i lies in N_i when i*n + j is among the graph's edge
-        # keys, which are sorted because its CSR rows are
-        edges = np.repeat(np.arange(n), graph.in_degrees) * n + graph.nb_flat
-        key = owner[tid] * n + members
-        outside = (np.append(edges, -1)[np.searchsorted(edges, key)] != key) | (raw != members)
-        unsorted = np.append(False, (tid[1:] == tid[:-1]) & (np.diff(members) <= 0))
-        for bad, why in [
-            (~np.isfinite(coeff), "has a non-finite coefficient"),
-            (np.bincount(tid, raw != np.floor(raw), size.size) > 0, "has non-integer members"),
-            (np.bincount(tid, outside, size.size) > 0, "is not inside its in-neighborhood"),
-            (np.bincount(tid, unsorted, size.size) > 0, "is not sorted/duplicate-free"),
-            (size > beta, f"exceeds order beta={beta}"),
-        ]:
+
+        def reject(bad, why):
             if bad.any():
                 t = int(bad.argmax())
                 a = start[t]
                 subset = tuple(int(j) if j.is_integer() else j for j in raw[a : a + size[t]].tolist())
                 raise ValueError(f"subset {subset} of node {owner[t]} {why}")
 
-        # sort each node's terms by subset: one row of members per term,
-        # padded with -1 so that a prefix sorts before its extensions
-        rows = np.full((size.size, int(size.max(initial=0))), -1)
-        rows[tid, np.arange(tid.size) - start[tid]] = members
-        order = np.lexsort([*rows.T[::-1], owner])
+        reject(~np.isfinite(coeff), "has a non-finite coefficient")
+        tid = np.repeat(np.arange(size.size), size)  # the term of each member slot
+        reject(np.bincount(tid, raw != np.floor(raw), size.size) > 0, "has non-integer members")
+        members = np.clip(np.nan_to_num(raw), 0, max(n - 1, 0)).astype(np.int64)
+        # member j of node i lies in N_i when i*n + j is among the graph's edge
+        # keys, which are sorted because its CSR rows are
+        edges = np.repeat(np.arange(n), graph.in_degrees) * n + graph.nb_flat
+        key = owner[tid] * n + members
+        outside = np.append(edges, -1)[np.searchsorted(edges, key)] != key
+        del edges, key
+        outside |= raw != members
+        reject(np.bincount(tid, outside, size.size) > 0, "is not inside its in-neighborhood")
+        del outside
+        unsorted = np.append(False, (tid[1:] == tid[:-1]) & (np.diff(members) <= 0))
+        reject(np.bincount(tid, unsorted, size.size) > 0, "is not sorted/duplicate-free")
+        del tid, unsorted
+        reject(size > beta, f"exceeds order beta={beta}")
+
+        # sort each node's terms by subset: a term is the digits (owner,
+        # member + 1, ..., 0 as padding, so that a prefix sorts before its
+        # extensions) in base n + 1, packed into as few int64 words as fit
+        base, width = max(n + 1, 2), 1
+        while base ** (width + 1) <= 2**63:
+            width += 1
+        words = []
+        for d in range(1 + int(size.max(initial=0))):  # digit d of every term
+            if d % width == 0:
+                words.append(np.zeros(size.size, np.int64))
+            words[-1] *= base
+            if d == 0:
+                words[-1] += owner
+            else:
+                has = size >= d
+                words[-1][has] += members[start[has] + d - 1] + 1
+        order = np.lexsort(words[::-1])
+        del words
         self.const = np.zeros(n)
         self.const[owner[size == 0]] += coeff[size == 0]
         order = order[size[order] > 0]
-        self.coeffs, self.sizes, rows = coeff[order], size[order], rows[order]
+        self.coeffs, self.sizes = coeff[order], size[order]
         self.node_off = np.append(0, np.cumsum(np.bincount(owner[order], minlength=n)))
         ptr = np.append(0, np.cumsum(self.sizes))
-        self.incidence = csr_matrix((np.ones(ptr[-1]), rows[rows >= 0], ptr), (order.size, n))
+        # each sorted term's members, gathered from where the term began
+        slot = np.repeat(start[order] - ptr[:-1], self.sizes)
+        slot += np.arange(ptr[-1])
+        members = members[slot]
+        del slot
+        self.incidence = csr_matrix((np.ones(ptr[-1]), members, ptr), (order.size, n))
+        del members, ptr  # freed when scipy stores its indices as int32 copies
         self.coeff_matrix = csr_matrix((self.coeffs, np.arange(order.size), self.node_off), (n, order.size))
 
     @property
@@ -140,10 +167,20 @@ class OutcomesModel:
 
     def y_max(self) -> float:
         """Largest per-node l1 norm sum_S |c[i][S]|, each an exact math.fsum;
-        it bounds |Y_i(z)| for every assignment."""
-        c, off = np.abs(self.coeffs).tolist(), self.node_off.tolist()
-        norms = (math.fsum([k, *c[a:b]]) for k, a, b in zip(abs(self.const).tolist(), off, off[1:]))
-        return max(norms, default=0.0)
+        it bounds |Y_i(z)| for every assignment. Only the nodes whose plain
+        float sum lies within its rounding bound of the largest can hold
+        the maximum, and only those are summed exactly: a float sum of m
+        nonnegative terms has a relative error of at most about
+        (m - 1) * eps / 2, and the slack below is over four times that.
+        Rounding is monotone, so the largest fsum is the one of the largest
+        exact sum."""
+        count = np.diff(self.node_off)
+        c, k = np.abs(self.coeffs), np.abs(self.const)
+        total = np.bincount(np.repeat(np.arange(self.n), count), c, self.n) + k
+        slack = 2 * (count + 2) * np.finfo(float).eps
+        near = np.flatnonzero(total * (1 + slack) >= (total * (1 - slack)).max(initial=0.0))
+        off = self.node_off
+        return max((math.fsum([k[i], *c[off[i] : off[i + 1]].tolist()]) for i in near), default=0.0)
 
 
 @dataclass
@@ -174,26 +211,6 @@ def evaluate(model: OutcomesModel, z: np.ndarray) -> np.ndarray:
     return np.add(model.const, (model.coeff_matrix @ active.T).T, order="C")
 
 
-def expand_power(weights: dict[int, float], ell: int) -> dict[Subset, float]:
-    """Exact subset coefficients of (sum_j w_j z_j)**ell over binary z.
-
-    Repeated factors collapse along the way (z_j**2 = z_j), so the result
-    never contains subsets larger than ell.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    items = sorted((int(j), float(w)) for j, w in weights.items())
-    cur: dict[Subset, float] = {(j,): w for j, w in items}
-    for _ in range(ell - 1):
-        nxt: dict[Subset, float] = {}
-        for subset, coeff in cur.items():
-            for j, w in items:
-                key = subset if j in subset else tuple(sorted(subset + (j,)))
-                nxt[key] = nxt.get(key, 0.0) + coeff * w
-        cur = nxt
-    return cur
-
-
 def gen_experiment_model(
     g: CausalGraph, beta: int, r: float, seed, scale: float = 1.0
 ) -> OutcomesModel:
@@ -213,9 +230,18 @@ def gen_experiment_model(
     The terms are built as arrays over the graph's CSR slots: every subset
     of size <= beta of each in-neighborhood, with the linear weight plus
     each power's coefficient (`_power_coeffs`) summed in the order
-    l = 2..beta. At beta <= 2 every coefficient equals the per-node
-    expansion with `expand_power` bit for bit.
+    l = 2..beta. At beta <= 2 every coefficient equals a per-node dict
+    expansion of the powers bit for bit.
     """
+    model = OutcomesModel.__new__(OutcomesModel)
+    model._store(beta, g, *_experiment_terms(g, beta, r, seed, scale))
+    return model
+
+
+def _experiment_terms(g: CausalGraph, beta: int, r: float, seed, scale: float):
+    """The terms of `gen_experiment_model` as the store's (owner, coeff,
+    size, raw). A function of its own so that the subset and power
+    temporaries are freed before the store is built."""
     beta = _check_order(beta, "beta")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
@@ -270,9 +296,7 @@ def gen_experiment_model(
     size = np.repeat(np.arange(beta + 1), [n] + [len(c) for c in subsets])
     owner = np.concatenate([np.arange(n)] + [row[c[:, 0]] for c in subsets])
     raw = np.concatenate([nb[c].ravel() for c in subsets]).astype(float)
-    model = OutcomesModel.__new__(OutcomesModel)
-    model._store(beta, g, owner, np.concatenate([c_base, *coeff]), size, raw)
-    return model
+    return owner, np.concatenate([c_base, *coeff]), size, raw
 
 
 def _power_coeffs(X: np.ndarray, beta: int) -> list[np.ndarray]:

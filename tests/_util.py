@@ -13,7 +13,6 @@ from snipe import (
     CausalGraph,
     DegenerateModelError,
     Design,
-    expand_power,
     gen_erdos_renyi,
     gen_experiment_model,
     uniform_design,
@@ -53,6 +52,26 @@ def small_graphs(draw):
     elif kind == "edgeless":
         rows = [set() for _ in range(n)]
     return graph_from_neighbors(rows)
+
+
+def expand_power(weights: dict[int, float], ell: int) -> dict[tuple[int, ...], float]:
+    """Exact subset coefficients of (sum_j w_j z_j)**ell over binary z.
+
+    Repeated factors collapse along the way (z_j**2 = z_j), so the result
+    never contains subsets larger than ell.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    items = sorted((int(j), float(w)) for j, w in weights.items())
+    cur: dict[tuple[int, ...], float] = {(j,): w for j, w in items}
+    for _ in range(ell - 1):
+        nxt: dict[tuple[int, ...], float] = {}
+        for subset, coeff in cur.items():
+            for j, w in items:
+                key = subset if j in subset else tuple(sorted(subset + (j,)))
+                nxt[key] = nxt.get(key, 0.0) + coeff * w
+        cur = nxt
+    return cur
 
 
 def experiment_model_reference(g, beta, r, seed, scale=1.0):

@@ -89,6 +89,24 @@ def test_estimate_matches_each_estimator(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "est, extra, code",
+    [
+        ("snipe", ["--lambda", "2"], EXIT_OK),
+        ("dm-thresh", ["--lambda", "2"], EXIT_VALIDATION),
+        ("snipe-te", ["--beta", "2", "--alpha", "2"], EXIT_OK),
+        ("snipe-te", ["--beta", "1", "--alpha", "2"], EXIT_VALIDATION),
+    ],
+)
+def test_estimate_checks_lambda_and_alpha_only_for_their_estimator(tmp_path, est, extra, code):
+    graph, zfile, yfile = tmp_path / "graph.json", tmp_path / "z.csv", tmp_path / "y.csv"
+    main(["gen-graph", "--n", "30", "--p-edge", "0.15", "--seed", "9", "--out", str(graph)])
+    main(["sample", "--n", "30", "--p", "0.4", "--seed", "2", "--out", str(zfile)])
+    yfile.write_text(",".join(str(v) for v in np.random.default_rng(0).uniform(0, 2, 30)) + "\n")
+    args = ["estimate", "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile), "--p", "0.4"]
+    assert main([*args, "--estimator", est, *extra]) == code
+
+
 def test_undefined_estimate_exit_code(tmp_path):
     graph = tmp_path / "graph.json"
     zfile = tmp_path / "z.csv"

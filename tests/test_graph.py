@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snipe import CausalGraph, gen_erdos_renyi, in_neighborhood, load_graph, save_graph
+from snipe import CausalGraph, gen_erdos_renyi, load_graph, save_graph
 from snipe.variance import _shared_index
 
 from _util import graph_from_neighbors
@@ -30,13 +30,13 @@ def test_expected_degree_matches_edge_probability():
 
 def test_in_neighborhood_examples():
     g = graph_from_neighbors([[0], [0, 1, 2], []])
-    assert in_neighborhood(g, 0).tolist() == [0]
-    assert in_neighborhood(g, 1).tolist() == [0, 1, 2]
-    assert in_neighborhood(g, 2).tolist() == []
+    assert g.in_neighborhood(0).tolist() == [0]
+    assert g.in_neighborhood(1).tolist() == [0, 1, 2]
+    assert g.in_neighborhood(2).tolist() == []
     with pytest.raises(IndexError):
-        in_neighborhood(g, 3)
+        g.in_neighborhood(3)
     with pytest.raises(IndexError):
-        in_neighborhood(g, -1)
+        g.in_neighborhood(-1)
 
 
 def test_degree_fields():

@@ -305,6 +305,33 @@ def test_config_checks_p_r_and_scale_before_any_graph_is_built(fields, match):
         ExperimentConfig(**{"base_seed": 3, "sweep": "beta", "sweep_values": (1,), "n": 60, **fields})
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"thresh_lambda": math.nan, "estimators": ("dm-thresh",)}, r"thresh_lambda must lie in \[0, 1\]"),
+        ({"thresh_lambda": 1.5, "estimators": ("dm-thresh",)}, r"thresh_lambda must lie in \[0, 1\]"),
+        ({"te_alpha": 5, "sweep": "r", "sweep_values": (2.0,), "estimators": ("snipe-te",)},
+         "te_alpha must satisfy 1 <= te_alpha <= beta, got 5 > 1"),
+        ({"te_alpha": 0, "estimators": ("snipe-te",)}, "te_alpha must be >= 1"),
+        ({"te_alpha": 3, "sweep_values": (3, 2), "estimators": ("snipe-te",)},
+         "te_alpha must satisfy 1 <= te_alpha <= sweep value of beta, got 3 > 2"),
+        ({"d_expect": -1.0}, "d_expect must be finite and > 0"),
+        ({"d_expect": 0.0}, "d_expect must be finite and > 0"),
+        ({"d_expect": math.nan}, "d_expect must be finite and > 0"),
+        ({"d_expect": math.inf}, "d_expect must be finite and > 0"),
+    ],
+    ids=["lambda-nan", "lambda-above-1", "alpha-above-beta", "alpha-0", "alpha-above-swept-beta",
+         "d-negative", "d-zero", "d-nan", "d-inf"],
+)
+def test_config_checks_lambda_alpha_and_d_expect_before_any_graph_is_built(fields, match):
+    base = {"base_seed": 3, "sweep": "beta", "sweep_values": (1,), "n": 60}
+    with pytest.raises(ValueError, match=f"^{match}"):
+        ExperimentConfig(**{**base, **fields})
+    # lambda and alpha matter only to the estimator that reads them
+    if "estimators" in fields:
+        ExperimentConfig(**{**base, **fields, "estimators": ("snipe",)})
+
+
 def test_config_ignores_the_fixed_value_a_sweep_replaces():
     # the fixed p or r is never used when that parameter is swept
     cfg = ExperimentConfig(base_seed=3, sweep="r", sweep_values=(1.0,), r=-1.0, n=30, graphs=1, reps=2,

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from snipe import (
     DegenerateModelError,
     OutcomesModel,
     evaluate,
-    expand_power,
     gen_erdos_renyi,
     gen_experiment_model,
     ground_truth,
@@ -21,7 +21,7 @@ from snipe import (
     sample,
 )
 
-from _util import experiment_model_reference, graph_from_neighbors, random_graph, random_model, small_graphs
+from _util import expand_power, experiment_model_reference, graph_from_neighbors, random_graph, random_model, small_graphs
 
 
 def test_evaluate_zero_model():
@@ -484,6 +484,75 @@ def test_terms_view_reads_the_input_back():
         assert list(tmap) == sorted(tmap)
     m.terms[0][()] = 99.0  # a fresh dict: the model is unchanged
     assert m.terms[0][()] == terms[0].get((), 0.0)
+
+
+def test_store_sorts_two_word_keys_like_tuples():
+    # the store packs (owner, member + 1, ..., 0) in base n + 1 into int64
+    # words; at n=300 a 9-member term has 10 digits and 301**10 > 2**63, so
+    # its key takes two words. Each node holds every prefix of a 9-member
+    # subset, which differ only in the second word, plus random subsets.
+    assert 301**10 > 2**63
+    rng = np.random.default_rng(44)
+    n = 300
+    nbrs = [sorted(rng.choice(n, 12, replace=False).tolist()) for _ in range(n)]
+    g = graph_from_neighbors(nbrs)
+    terms = []
+    for i in range(n):
+        chain = sorted(rng.choice(nbrs[i], 9, replace=False).tolist())
+        keys = {tuple(chain[:k]) for k in range(10)}
+        keys |= {tuple(sorted(rng.choice(nbrs[i], k, replace=False).tolist())) for k in rng.integers(1, 10, 6)}
+        keys = list(keys)
+        rng.shuffle(keys)
+        terms.append({S: float(rng.normal()) for S in keys})
+    m = OutcomesModel(9, terms, g)
+    expected = sorted((i, S) for i, tmap in enumerate(terms) for S in tmap if S)
+    owner = np.repeat(np.arange(n), np.diff(m.node_off)).tolist()
+    ind, ptr = m.incidence.indices.tolist(), m.incidence.indptr.tolist()
+    assert list(zip(owner, (tuple(ind[a:b]) for a, b in zip(ptr, ptr[1:])))) == expected
+    assert m.coeffs.tolist() == [terms[i][S] for i, S in expected]
+    assert m.const.tolist() == [tmap[()] for tmap in terms]
+
+
+def test_build_peak_memory_is_bounded_by_the_arrays_it_returns():
+    # each temporary of the build is freed once used, so the traced peak
+    # stays within 3.25 times the bytes of the arrays the model keeps
+    g = gen_erdos_renyi(2000, 10 / 2000, self_loops=True, seed=1)
+    gen_experiment_model(g, 2, 2.0, seed=3, scale=5.0)  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        m = gen_experiment_model(g, 2, 2.0, seed=3, scale=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mats = [getattr(M, a) for M in (m.incidence, m.coeff_matrix) for a in ("data", "indices", "indptr")]
+    arrays = [m.const, m.coeffs, m.sizes, m.node_off, *mats]
+    # coeff_matrix.data is the coeffs array itself: count each buffer once
+    kept = sum(a.nbytes for k, a in enumerate(arrays) if not any(np.shares_memory(a, b) for b in arrays[:k]))
+    assert peak <= 3.25 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
+
+
+_TINY = 2.0**-53
+
+
+@pytest.mark.parametrize("heavy", [0, 4])
+@pytest.mark.parametrize(
+    "top, rival",
+    [
+        # float sums tie at 1.0; the exact sums differ in the last bit
+        ([1.0, _TINY, _TINY], [1.0]),
+        # the top node's float sum is one ulp below the rival's, yet its
+        # exact sum is the larger
+        ([1.0, _TINY, _TINY, _TINY, _TINY], [1.0, _TINY + 2.0**-60]),
+    ],
+)
+def test_y_max_tells_float_sum_ties_apart_by_their_exact_sums(heavy, top, rival):
+    # terms sum in subset order, so each list adds up left to right
+    g = graph_from_neighbors([range(5)] * 5)
+    terms = [{(j,): c for j, c in enumerate(rival)} for _ in range(5)]
+    terms[heavy] = {(j,): c for j, c in enumerate(top)}
+    m = OutcomesModel(1, terms, g)
+    assert sum(top) <= sum(rival) and math.fsum(top) > math.fsum(rival)
+    assert m.y_max() == math.fsum(top) == 1.0 + (len(top) - 1) * _TINY
 
 
 @pytest.mark.parametrize(
