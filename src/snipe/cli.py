@@ -132,7 +132,7 @@ def _cmd_estimate(args) -> int:
         te_alpha=args.alpha,
         cate_nodes=cate_nodes,
     )
-    params = {"n": g.n, "p": float(design.probs[0]), "beta": args.beta, "r": 0.0}
+    params = {"beta": args.beta}
     est_fn, _ = harness.ESTIMATOR_NAMES[args.estimator]
     try:
         value = float(est_fn(g, Y, z, design, params, cfg))

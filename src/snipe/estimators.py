@@ -172,14 +172,14 @@ def snipe_tte(g: CausalGraph, Y, z, design: Design, beta: int):
 
 
 @lru_cache(maxsize=64)
-def _uniform_weight_table(p: float, beta: int, t_max: int, m_max: int) -> np.ndarray:
-    # weight of t treated and m untreated neighbors, where each subset of k treated
-    # and l untreated ones adds c_kl: sum_k C(t, k) sum_{l <= beta - k} C(m, l) c_kl,
+def _uniform_weight_table(p: float, beta: int, d: int) -> np.ndarray:
+    # weight of t treated and m untreated neighbors (t, m <= d), where each subset of
+    # k treated and l untreated ones adds c_kl: sum_k C(t, k) sum_{l <= beta - k} C(m, l) c_kl,
     # each sum_j C(x, j) c_j nested from the top as c_0 + x (c_1 + (x - 1)/2 (c_2 + ...)),
     # whose factor x - j cuts off every term past x; built in place on one grid
     a, b = (p - 1.0) / p, (-p) / (1.0 - p)
-    t, m = np.arange(t_max + 1.0)[:, None], np.arange(m_max + 1.0)
-    table = np.zeros((t_max + 1, m_max + 1))
+    t, m = np.arange(d + 1.0)[:, None], np.arange(d + 1.0)
+    table = np.zeros((d + 1, d + 1))
     for k in range(beta, -1, -1):
         inner = 0.0
         for ell in range(beta - k, -1, -1):
@@ -209,7 +209,10 @@ def snipe_tte_uniform(g: CausalGraph, Y, z, p: float, beta: int):
         raise ValueError("p must lie strictly inside (0, 1)")
     beta = _check_order(beta, "beta")
     Y, z = _check_lengths(g, Y, z)
-    table = _uniform_weight_table(float(p), beta, g.d_in, g.d_in)
+    try:
+        table = _uniform_weight_table(float(p), beta, g.d_in)
+    except OverflowError:
+        raise ValueError(f"snipe_tte_uniform: the weight table overflows float64 at p={p!r}, beta={beta}") from None
     t = _treated_counts(g, z)
     # row-major position of (t, size - t) in the table collapses to
     # t * d_in + size; the float arithmetic is exact for these ranges

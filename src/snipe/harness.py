@@ -142,8 +142,6 @@ class ReplicationStats:
     n_excluded: int
     n_used: int
     raw_mean: float
-    raw_var: float
-    truth_mean: float
 
 
 @dataclass
@@ -161,7 +159,6 @@ class VarianceRow:
     mean_conservative: float
     mean_bound: float
     mean_estimate: float
-    tte_mean: float
     n_draws: int
 
 
@@ -272,31 +269,24 @@ def run_experiment(cfg: ExperimentConfig, model_factory=None) -> list[Replicatio
         params = cfg.at(value)
         rel: dict[str, list[float]] = {name: [] for name in cfg.estimators}
         raw: dict[str, list[float]] = {name: [] for name in cfg.estimators}
-        excluded = {name: 0 for name in cfg.estimators}
-        truths = []
         for graph, model, gt, design, draws in _iter_graphs(cfg, sweep_idx, params, reps, model_factory):
+            # each estimand depends on the graph's ground truth and the config only
+            truths = {name: _estimand(gt, ESTIMATOR_NAMES[name][1], cfg) for name in cfg.estimators}
             for z, Y in draws:
-                for name in cfg.estimators:
-                    est_fn, estimand = ESTIMATOR_NAMES[name]
+                for name, truth in truths.items():
                     try:
-                        v = float(est_fn(graph, Y, z, design, params, cfg))
+                        v = float(ESTIMATOR_NAMES[name][0](graph, Y, z, design, params, cfg))
                     except UndefinedEstimateError:
-                        excluded[name] += 1
                         continue
-                    truth = _estimand(gt, estimand, cfg)
-                    norm = abs(truth) if truth != 0.0 else 1.0
-                    rel[name].append((v - truth) / norm)
+                    rel[name].append((v - truth) / (abs(truth) or 1.0))
                     raw[name].append(v)
-            truths.append(gt.tte)
         for name in cfg.estimators:
             r = np.asarray(rel[name])
-            rawv = np.asarray(raw[name])
             if r.size:
-                bias = float(r.mean())
-                std = float(r.std(ddof=0))
-                mse = float((r * r).mean())
+                bias, std, mse = float(r.mean()), float(r.std(ddof=0)), float((r * r).mean())
+                mean = float(np.mean(raw[name]))
             else:
-                bias = std = mse = float("nan")
+                bias = std = mse = mean = float("nan")
             rows.append(
                 ReplicationStats(
                     sweep_var=cfg.sweep,
@@ -305,11 +295,9 @@ def run_experiment(cfg: ExperimentConfig, model_factory=None) -> list[Replicatio
                     rel_bias=bias,
                     rel_std=std,
                     rel_mse=mse,
-                    n_excluded=excluded[name],
-                    n_used=int(r.size),
-                    raw_mean=float(rawv.mean()) if rawv.size else float("nan"),
-                    raw_var=float(rawv.var(ddof=0)) if rawv.size else float("nan"),
-                    truth_mean=float(np.mean(truths)),
+                    n_excluded=cfg.graphs * reps - r.size,
+                    n_used=r.size,
+                    raw_mean=mean,
                 )
             )
     return rows
@@ -326,10 +314,8 @@ def run_variance_report(cfg: ExperimentConfig, model_factory=None) -> list[Varia
         ests: list[float] = []
         cons: list[float] = []
         bounds: list[float] = []
-        truths: list[float] = []
         for graph, model, gt, design, draws in _iter_graphs(cfg, sweep_idx, params, reps, model_factory):
             bounds.append(worst_case_variance_bound(graph, model, design))
-            truths.append(gt.tte)
             for z, Y in draws:
                 ests.append(float(estimators.snipe_tte(graph, Y, z, design, params["beta"])))
                 cons.append(float(conservative_variance(graph, Y, z, design, params["beta"])))
@@ -346,7 +332,6 @@ def run_variance_report(cfg: ExperimentConfig, model_factory=None) -> list[Varia
                 mean_conservative=float(np.mean(cons)),
                 mean_bound=float(np.mean(bounds)),
                 mean_estimate=float(e.mean()),
-                tte_mean=float(np.mean(truths)),
                 n_draws=int(e.size),
             )
         )

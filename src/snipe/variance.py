@@ -30,11 +30,18 @@ def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Desi
         (d_in d_out Ymax^2 / n) * (e d_in / beta * max(4 beta^2, 1/(p(1-p))))^beta
 
     with p the design's probability floor and Ymax the largest per-unit
-    l1 coefficient norm (so |Y_i(z)| <= Ymax for every assignment)."""
+    l1 coefficient norm (so |Y_i(z)| <= Ymax for every assignment). A
+    bound past float64 range is a ValueError, not an inf."""
     p = design.p_floor
     beta = model.beta
     inner = math.e * g.d_in / beta * max(4.0 * beta * beta, 1.0 / (p * (1.0 - p)))
-    return g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
+    try:
+        bound = g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"worst_case_variance_bound: the bound overflows float64 at p={p!r}, beta={beta}")
+    return bound
 
 
 _shared_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()

@@ -168,3 +168,14 @@ def conservative_variance_reference(g, Y, z, design, beta):
         p_i = np.prod([u[k] for k in sorted(nbrs[i])]) if nbrs[i] else 1.0
         term2 += p_i * yw[i] ** 2 * k_i
     return (term1 + term2) / n**2
+
+
+def overflow_instance():
+    """G(200, 0.05) with seed 1, a beta=2 benchmark model (r=2, seed 2) and
+    the first 3 units treated: at uniform p of 1e-160 or less, the uniform
+    weight table and the worst-case bound leave float64 range."""
+    g = gen_erdos_renyi(200, 0.05, self_loops=True, seed=1)
+    model = gen_experiment_model(g, 2, 2.0, 2)
+    z = np.zeros(200, dtype=np.int64)
+    z[:3] = 1
+    return g, model, z

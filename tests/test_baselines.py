@@ -187,6 +187,24 @@ def test_ls_fit_rank_deficient_uses_ridge():
     assert np.all(np.isfinite(fit.coefficients))
 
 
+def test_ls_fit_ridge_is_its_fraction_of_the_gram_trace():
+    # z constant at 1 repeats the intercept column; the ridge is
+    # 1e-10 * trace(X^T X) / m with X = [1, x, z] for beta = 1, an exact
+    # integer trace since x holds treated-neighbor counts
+    g = random_graph(np.random.default_rng(11), 50, 0.3)
+    z = np.ones(50, dtype=np.int64)
+    fit = ls_fit(g, np.random.default_rng(12).uniform(0, 1, 50), z, 1, "count")
+    x = (g.in_degrees - g.has_self_loop).astype(np.float64)
+    X = np.stack([np.ones(50), x, z.astype(np.float64)], axis=1)
+    assert fit.ridge == 1e-10 * float(np.trace(X.T @ X)) / 3
+
+
+def test_ls_fit_rejects_an_unknown_covariate():
+    g = random_graph(np.random.default_rng(13), 10, 0.3)
+    with pytest.raises(ValueError, match="covariate must be 'count' or 'proportion'"):
+        ls_fit(g, np.zeros(10), np.array([0, 1] * 5), 1, "degree")
+
+
 def test_ls_fit_underdetermined():
     g = graph_from_neighbors([[0], [1]])
     with pytest.raises(ValueError):

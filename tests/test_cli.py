@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from snipe import Design, load_treatment, sample
 from snipe.cli import EXIT_OK, EXIT_UNDEFINED, EXIT_VALIDATION, main
 
 
@@ -181,3 +182,46 @@ def test_estimate_rejects_a_design_file_of_another_length(tmp_path, capsys):
                 "--design-file", str(dfile), "--estimator", est]
         assert main(args) == EXIT_VALIDATION
         assert "design length 1 != n = 5" in capsys.readouterr().err
+
+
+def test_estimate_past_float64_range_is_a_validation_error(tmp_path, capsys):
+    # at p = 1e-300 the beta=2 uniform weight table overflows float64
+    graph, zfile, yfile = tmp_path / "graph.json", tmp_path / "z.csv", tmp_path / "y.csv"
+    main(["gen-graph", "--n", "200", "--p-edge", "0.05", "--seed", "1", "--out", str(graph)])
+    zfile.write_text(",".join(["1"] * 3 + ["0"] * 197) + "\n")
+    yfile.write_text(",".join(["1.5"] * 200) + "\n")
+    args = ["estimate", "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile),
+            "--p", "1e-300", "--estimator", "snipe-uniform", "--beta", "2"]
+    assert main(args) == EXIT_VALIDATION
+    assert "snipe_tte_uniform: the weight table overflows float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--design-file", "{design}", "--estimator", "snipe-uniform"],
+         "snipe-uniform requires a uniform design"),
+        (["estimate", "--estimator", "snipe"], "estimate needs --design-file or --p"),
+        (["experiment", "--seed", "1", "--set", "reps"], "--set expects KEY=VALUE, got 'reps'"),
+        (["sample", "--design-file", "{design}", "--seed", "4", "--out", "{z}"], None),
+    ],
+    ids=["snipe-uniform-on-a-non-uniform-design", "estimate-without-a-design", "set-without-equals",
+         "sample-from-a-design-file"],
+)
+def test_cli_paths(tmp_path, capsys, argv, message):
+    graph, zfile, yfile, dfile = (tmp_path / f for f in ("graph.json", "z.csv", "y.csv", "design.json"))
+    main(["gen-graph", "--n", "4", "--p-edge", "0.5", "--seed", "1", "--out", str(graph)])
+    zfile.write_text("1,0,1,0\n")
+    yfile.write_text("1,2,3,4\n")
+    dfile.write_text(json.dumps({"probs": [0.2, 0.3, 0.4, 0.5]}))
+    if argv[0] == "estimate":
+        argv = [*argv, "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile)]
+    argv = [a.format(design=dfile, z=zfile) for a in argv]
+    code = main(argv)
+    if message is None:
+        assert code == EXIT_OK
+        want = sample(Design(np.array([0.2, 0.3, 0.4, 0.5])), 4)
+        assert np.array_equal(load_treatment(zfile, 4), want)
+    else:
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err

@@ -32,6 +32,7 @@ from snipe.estimators import _ate_weights, _uniform_weight_table
 from _util import (
     ate_weight_reference,
     graph_from_neighbors,
+    overflow_instance,
     random_design,
     random_graph,
     random_model,
@@ -630,7 +631,7 @@ def _uniform_table_reference(p, beta, t_max, m_max):
 @pytest.mark.parametrize("p", [0.1, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("beta", [1, 2, 3, 4])
 def test_uniform_weight_table_matches_literal_binomial_sum(p, beta):
-    table = _uniform_weight_table(p, beta, 12, 12)
+    table = _uniform_weight_table(p, beta, 12)
     want, scale = _uniform_table_reference(p, beta, 12, 12)
     assert table.shape == want.shape
     assert np.all(np.abs(table - want) <= 1e-12 * scale)
@@ -652,3 +653,36 @@ def test_uniform_fast_path_on_a_600_leaf_star():
         scale = np.abs(Y * w).sum() / n
         fast = snipe_tte_uniform(g, Y, z, 0.2, beta)
         assert abs(fast - snipe_tte(g, Y, z, d, beta)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("p", [1e-160, 1e-300])
+def test_uniform_fast_path_past_float64_range_is_a_value_error(p):
+    g, model, z = overflow_instance()
+    with pytest.raises(ValueError, match="snipe_tte_uniform: .*overflows float64"):
+        snipe_tte_uniform(g, evaluate(model, z), z, p, 2)
+
+
+def test_uniform_fast_path_just_inside_float64_range_is_unchanged():
+    g, model, z = overflow_instance()
+    assert snipe_tte_uniform(g, evaluate(model, z), z, 1e-100, 2) == 9.295337861530803e197
+
+
+_NO_SELF_LOOP = graph_from_neighbors([[0], [0]])  # node 1 reads only node 0
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: snipe_tte_uniform(_NO_SELF_LOOP, np.zeros(2), np.array([0, 1]), 1.0, 1), r"p must lie strictly"),
+        (lambda: snipe_tte_uniform(_NO_SELF_LOOP, np.zeros(2), np.array([0, 1]), 0.0, 1), r"p must lie strictly"),
+        (lambda: subsets_up_to([2, 0, 1], 2), "neighborhood must be sorted and duplicate-free"),
+        (
+            lambda: snipe_cate(_NO_SELF_LOOP, np.zeros(2), np.array([0, 1]), uniform_design(2, 0.5), 1, [1]),
+            "snipe_cate requires a self-loop on every node of D",
+        ),
+    ],
+    ids=["uniform-p-1", "uniform-p-0", "unsorted-neighborhood", "cate-node-without-self-loop"],
+)
+def test_estimator_input_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -13,6 +13,12 @@ def test_zero_edge_probability_leaves_only_self_loops():
         assert g.in_neighborhood(i).tolist() == [i]
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_generator_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gen_erdos_renyi(n, 0.5, seed=0)
+
+
 def test_certain_edges_give_complete_graph():
     g = gen_erdos_renyi(5, 1.0, self_loops=True, seed=0)
     for i in range(5):

@@ -3,7 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from snipe import OutcomesModel, run_experiment, run_variance_report
+from snipe import (
+    OutcomesModel,
+    UndefinedEstimateError,
+    conservative_variance,
+    dm_thresh_tte,
+    dm_tte,
+    evaluate,
+    gen_erdos_renyi,
+    gen_experiment_model,
+    ground_truth,
+    ls_fit,
+    ls_tte,
+    run_experiment,
+    run_variance_report,
+    sample,
+    snipe_ate,
+    snipe_cate,
+    snipe_te_alpha,
+    snipe_tte,
+    uniform_design,
+    worst_case_variance_bound,
+)
 from snipe.harness import (
     ExperimentConfig,
     config_from_mapping,
@@ -129,6 +150,85 @@ def test_estimand_specific_normalization():
     for row in run_experiment(cfg):
         se = row.rel_std / np.sqrt(row.n_used)
         assert abs(row.rel_bias) <= 3.0 * se, row.estimator
+
+
+def _replayed_graphs(cfg, sweep_idx, beta):
+    # each graph of a beta sweep point and its draws, rebuilt outside the
+    # harness from the substream keys it documents: (point, graph, 0) for
+    # the graph, 1 for the model and 2 + rep for replication rep
+    for gidx in range(cfg.graphs):
+        keys = (cfg.base_seed, sweep_idx, gidx)
+        g = gen_erdos_renyi(cfg.n, min(cfg.d_expect / cfg.n, 1.0), self_loops=True, seed=substream(*keys, 0))
+        model = gen_experiment_model(g, beta, cfg.r, substream(*keys, 1), scale=cfg.scale)
+        design = uniform_design(cfg.n, cfg.p)
+        zs = [sample(design, substream(*keys, 2 + rep)) for rep in range(cfg.reps)]
+        yield g, model, design, [(z, evaluate(model, z)) for z in zs]
+
+
+def test_experiment_statistics_equal_a_recomputation():
+    nodes = (0, 3, 6)
+    cfg = _small_cfg(sweep="beta", sweep_values=(1, 2), n=8, p=0.15, r=1.5, graphs=2, reps=25, d_expect=3.0,
+                     estimators=("dm", "dm-thresh", "ls-num", "snipe-ate", "snipe-cate", "snipe-te"),
+                     cate_nodes=nodes, te_alpha=1)
+    # each estimator with its estimand, called directly
+    calls = {
+        "dm": (lambda g, Y, z, d, b: dm_tte(Y, z), lambda gt: gt.tte),
+        "dm-thresh": (lambda g, Y, z, d, b: dm_thresh_tte(g, Y, z, 0.75), lambda gt: gt.tte),
+        "ls-num": (lambda g, Y, z, d, b: ls_tte(ls_fit(g, Y, z, b, "count"), g), lambda gt: gt.tte),
+        "snipe-ate": (lambda g, Y, z, d, b: snipe_ate(g, Y, z, d, b), lambda gt: gt.ate),
+        "snipe-cate": (lambda g, Y, z, d, b: snipe_cate(g, Y, z, d, b, nodes),
+                       lambda gt: math.fsum(gt.direct[i] for i in nodes) / len(nodes)),
+        "snipe-te": (lambda g, Y, z, d, b: snipe_te_alpha(g, Y, z, d, b, 1), lambda gt: gt.te_alpha[1]),
+    }
+    want = []
+    for sweep_idx, beta in enumerate((1, 2)):
+        rel = {name: [] for name in calls}
+        raw = {name: [] for name in calls}
+        for g, model, design, draws in _replayed_graphs(cfg, sweep_idx, beta):
+            gt = ground_truth(model)
+            for z, Y in draws:
+                for name, (estimate, estimand) in calls.items():
+                    try:
+                        v = float(estimate(g, Y, z, design, beta))
+                    except UndefinedEstimateError:
+                        continue
+                    truth = estimand(gt)
+                    rel[name].append((v - truth) / (abs(truth) if truth != 0.0 else 1.0))
+                    raw[name].append(v)
+        for name in calls:
+            r = np.array(rel[name])
+            want.append((float(beta), name, r.mean(), r.std(ddof=0), np.mean(r * r), r.size, 50 - r.size,
+                         np.mean(raw[name])))
+    rows = run_experiment(cfg)
+    got = [(row.sweep_value, row.estimator, row.rel_bias, row.rel_std, row.rel_mse, row.n_used, row.n_excluded,
+            row.raw_mean) for row in rows]
+    assert got == want
+    assert all(row.n_excluded > 0 for row in rows if row.estimator == "dm")
+
+
+def test_experiment_row_with_every_draw_excluded():
+    # one unit is never in both difference-in-means groups
+    rows = run_experiment(_small_cfg(sweep_values=(1.0,), n=1, graphs=2, reps=3, estimators=("dm",)))
+    (row,) = rows
+    assert (row.n_used, row.n_excluded) == (0, 6)
+    assert all(math.isnan(v) for v in (row.rel_bias, row.rel_std, row.rel_mse, row.raw_mean))
+
+
+def test_variance_report_statistics_equal_a_recomputation():
+    cfg = _small_cfg(sweep="beta", sweep_values=(1, 2), n=40, p=0.3, r=1.5, graphs=2, reps=15, d_expect=4.0)
+    want = []
+    for sweep_idx, beta in enumerate((1, 2)):
+        ests, cons, bounds = [], [], []
+        for g, model, design, draws in _replayed_graphs(cfg, sweep_idx, beta):
+            bounds.append(worst_case_variance_bound(g, model, design))
+            for z, Y in draws:
+                ests.append(float(snipe_tte(g, Y, z, design, beta)))
+                cons.append(float(conservative_variance(g, Y, z, design, beta)))
+        want.append((np.var(ests, ddof=1), np.mean(cons), np.mean(bounds), np.mean(ests), 30))
+    rows = run_variance_report(cfg)
+    got = [(row.empirical_variance, row.mean_conservative, row.mean_bound, row.mean_estimate, row.n_draws)
+           for row in rows]
+    assert got == want
 
 
 def test_variance_report_zero_model_injection(tmp_path):

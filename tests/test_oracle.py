@@ -31,7 +31,17 @@ def test_single_coordinate_bernoulli_moments():
     assert m.variance == pytest.approx(0.21)
 
 
+def test_variance_of_an_estimator_with_a_negative_mean():
+    # z_0 - 3 has mean p_0 - 3 < 0 and the variance p_0 (1 - p_0) of z_0
+    d = Design(np.array([0.3, 0.6]))
+    m = exact_moments(lambda Z: Z[:, 0] - 3.0, d, batch=True)
+    assert m.mean == pytest.approx(-2.7, rel=1e-14)
+    assert m.variance == pytest.approx(0.21, rel=1e-12)
+
+
 def test_oracle_rejects_large_n():
+    with pytest.raises(ValueError, match="exceeds the exhaustive-enumeration cap 20"):
+        enumerate_assignments(21)
     d = uniform_design(21, 0.4)
     with pytest.raises(ValueError):
         exact_moments(lambda z: 0.0, d)

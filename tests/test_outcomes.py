@@ -137,6 +137,9 @@ def test_evaluate_matches_literal_polynomial(m):
 
 def test_model_validates_subsets():
     g = graph_from_neighbors([[0], [1]])
+    for maps in (1, 3):
+        with pytest.raises(ValueError, match="need one term map per node"):
+            OutcomesModel(1, [{} for _ in range(maps)], g)
     with pytest.raises(ValueError):
         OutcomesModel(1, [{(1,): 1.0}, {}], g)  # 1 not in N_0
     with pytest.raises(ValueError):

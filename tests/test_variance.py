@@ -27,6 +27,7 @@ from snipe.oracle import exact_moments
 from _util import (
     conservative_variance_reference,
     graph_from_neighbors,
+    overflow_instance,
     random_design,
     random_graph,
     random_model,
@@ -43,6 +44,29 @@ def test_bound_hand_value():
     m = OutcomesModel(1, [{(i,): 1.0} for i in range(100)], g)
     d = uniform_design(100, 0.5)
     assert worst_case_variance_bound(g, m, d) == pytest.approx(4.0 * math.e / 100.0)
+
+
+def test_bound_hand_value_at_order_two():
+    # d_in = d_out = 2, n = 3, Ymax = |1| + |-2| = 3, p = 0.25, so
+    # max(4 beta^2, 1/(p(1-p))) = max(16, 16/3) = 16 and the bound is
+    # (2 * 2 * 9 / 3) * (e * 2 / 2 * 16)^2 = 3072 e^2
+    g = graph_from_neighbors([[0, 1], [0, 1], [2]])
+    m = OutcomesModel(2, [{(0,): 1.0, (0, 1): -2.0}, {(1,): 0.5}, {}], g)
+    assert (g.d_in, g.d_out, m.y_max()) == (2, 2, 3.0)
+    got = worst_case_variance_bound(g, m, uniform_design(3, 0.25))
+    assert got == pytest.approx(3072.0 * math.e**2, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1e-160, 1e-300])
+def test_bound_past_float64_range_is_a_value_error(p):
+    g, model, _ = overflow_instance()
+    with pytest.raises(ValueError, match="worst_case_variance_bound: .*overflows float64"):
+        worst_case_variance_bound(g, model, uniform_design(200, p))
+
+
+def test_bound_just_inside_float64_range_is_unchanged():
+    g, model, _ = overflow_instance()
+    assert worst_case_variance_bound(g, model, uniform_design(200, 1e-100)) == 3.5982757410680535e204
 
 
 def test_bound_linear_simplification():
@@ -196,6 +220,10 @@ def test_make_report_floors_negative_conservative():
     assert report.floored
     assert report.conservative_estimate == -0.5  # raw value preserved
     assert report.ci_low == report.ci_high == 1.0
+
+
+def test_make_report_does_not_flag_a_zero_conservative_value():
+    assert make_report(1.0, 0.0).floored is False
 
 
 def test_make_report_warns_above_half():
