@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--alpha", type=int, default=1, help="interaction size for snipe-te")
     e.add_argument("--lambda", dest="thresh_lambda", type=float, default=0.75)
     e.add_argument("--demographic-file", help="node ids (one per line) for snipe-cate")
-    e.add_argument("--report", help="also write a variance-report CSV row to this path")
+    e.add_argument("--report", help="also write a variance-report CSV row to this path (snipe, snipe-uniform)")
     e.add_argument("--ci-alpha", type=float, default=0.05)
 
     for name in ("experiment", "variance-report"):
@@ -108,6 +108,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.report and args.estimator not in ("snipe", "snipe-uniform"):
+        raise ValueError(f"--report gives the variance of snipe and snipe-uniform only, not of {args.estimator}")
     g = load_graph(args.graph)
     Y = np.array([float(v) for v in Path(args.outcomes).read_text().strip().split(",")])
     z = load_treatment(args.treatment, g.n)

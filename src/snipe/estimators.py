@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 import numpy as np
@@ -164,6 +164,23 @@ def _check_lengths(g: CausalGraph | None, Y, z, design: Design | None = None) ->
     return Y, z
 
 
+def _finite(fn):
+    """Run fn without float warnings, so every warnings filter sees the same
+    outcome: a finite result, or a ValueError naming fn past float64 range."""
+    @wraps(fn)
+    @np.errstate(over="ignore", invalid="ignore")
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:  # a Python float ** past float64 range
+            out = math.inf
+        if not np.isfinite(out).all():
+            raise ValueError(f"{fn.__name__}: the result overflows float64 at this design")
+        return out
+    return checked
+
+
+@_finite
 def snipe_tte(g: CausalGraph, Y, z, design: Design, beta: int):
     """SNIPE(beta) total-treatment-effect point estimate (1/n) sum Y_i w_i."""
     Y, z = _check_lengths(g, Y, z, design)
@@ -352,6 +369,7 @@ def snipe_cate(g: CausalGraph, Y, z, design: Design, beta: int, D):
     return np.take(Y * w, D, axis=-1).mean(axis=-1)
 
 
+@_finite
 def snipe_te_alpha(g: CausalGraph, Y, z, design: Design, beta: int, alpha: int):
     """Size-alpha interaction effect estimate: per unit,
 

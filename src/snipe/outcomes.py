@@ -12,8 +12,8 @@ members of term t) and the coefficients as a sparse node-by-term matrix
 (n x terms, row i = node i's terms). The benchmark generator builds those
 arrays directly from the graph's CSR; dicts appear only at the constructor,
 which flattens them into the same store, and in `OutcomesModel.terms`, for
-the JSON file format. The store sorts the terms with one `lexsort` over
-keys that pack (owner, members) into as few int64 words as fit, and frees
+the JSON file format. Each node's terms are kept by size, then
+lexicographically (the package's one subset order), and the store frees
 each check's temporaries before the next, so a build peaks at under three
 times the arrays it returns. A term's product is 1 exactly when its
 treated-member count reaches its size, so `evaluate` is two sparse
@@ -57,8 +57,8 @@ Subset = tuple[int, ...]
 class OutcomesModel:
     """Sparse per-node subset-coefficient maps of order at most beta, kept
     as flat arrays: `const` (the empty-subset coefficients), the nonempty
-    terms' `coeffs`, `sizes` and `incidence` rows, each node's subsets in
-    sorted order, and `node_off` (node i owns terms node_off[i]:node_off[i+1]).
+    terms' `coeffs`, `sizes` and `incidence` rows in (owner, size, subset)
+    order, and `node_off` (node i owns terms node_off[i]:node_off[i+1]).
     `coeff_matrix` is the n x terms CSR matrix holding `coeffs` in those rows.
 
     Args:
@@ -71,9 +71,10 @@ class OutcomesModel:
     def __init__(self, beta: int, terms: list[dict[Subset, float]], graph: CausalGraph):
         if len(terms) != graph.n:
             raise ValueError("need one term map per node")
-        keys = [key for tmap in terms for key in tmap]
+        items = [sorted(tmap.items(), key=lambda kv: (len(kv[0]), kv[0])) for tmap in terms]
+        keys = [key for node in items for key, _ in node]
         owner = np.repeat(np.arange(graph.n), [len(tmap) for tmap in terms])
-        coeff = np.fromiter(chain.from_iterable(t.values() for t in terms), float, len(keys))
+        coeff = np.fromiter((c for node in items for _, c in node), float, len(keys))
         size = np.fromiter(map(len, keys), np.int64, len(keys))
         raw = np.fromiter(chain.from_iterable(keys), float, int(size.sum()))
         self._store(beta, graph, owner, coeff, size, raw)
@@ -82,9 +83,10 @@ class OutcomesModel:
         """The one path into the arrays: term t of node owner[t] has
         coefficient coeff[t] and the size[t] members that follow the earlier
         terms' members in `raw` (floats, so that a non-integer is named).
-        Every term is validated, each node's terms are sorted by subset, and
-        the two CSR matrices are built. Each check's temporaries are freed
-        before the next is built, which bounds the peak."""
+        Each caller passes a node's terms in (size, subset) order, and one
+        stable sort by owner groups them. Every term is validated and the two
+        CSR matrices are built. Each check's temporaries are freed before the
+        next is built, which bounds the peak."""
         from scipy.sparse import csr_matrix
 
         beta = _check_order(beta, "beta")
@@ -116,27 +118,9 @@ class OutcomesModel:
         del tid, unsorted
         reject(size > beta, f"exceeds order beta={beta}")
 
-        # sort each node's terms by subset: a term is the digits (owner,
-        # member + 1, ..., 0 as padding, so that a prefix sorts before its
-        # extensions) in base n + 1, packed into as few int64 words as fit
-        base, width = max(n + 1, 2), 1
-        while base ** (width + 1) <= 2**63:
-            width += 1
-        words = []
-        for d in range(1 + int(size.max(initial=0))):  # digit d of every term
-            if d % width == 0:
-                words.append(np.zeros(size.size, np.int64))
-            words[-1] *= base
-            if d == 0:
-                words[-1] += owner
-            else:
-                has = size >= d
-                words[-1][has] += members[start[has] + d - 1] + 1
-        order = np.lexsort(words[::-1])
-        del words
         self.const = np.zeros(n)
         self.const[owner[size == 0]] += coeff[size == 0]
-        order = order[size[order] > 0]
+        order = np.flatnonzero(size)[np.argsort(owner[size > 0], kind="stable")]  # grouped by node
         self.coeffs, self.sizes = coeff[order], size[order]
         self.node_off = np.append(0, np.cumsum(np.bincount(owner[order], minlength=n)))
         ptr = np.append(0, np.cumsum(self.sizes))
@@ -156,7 +140,7 @@ class OutcomesModel:
     @property
     def terms(self) -> list[dict[Subset, float]]:
         """Per-node maps, rebuilt from the arrays on every access (read once,
-        not per node): the constant under (), then subsets in sorted order."""
+        not per node): the constant, then subsets in (size, subset) order."""
         members, ptr = self.incidence.indices.tolist(), self.incidence.indptr.tolist()
         subsets = [tuple(members[a:b]) for a, b in zip(ptr, ptr[1:])]
         coeffs, off = self.coeffs.tolist(), self.node_off.tolist()
@@ -240,8 +224,8 @@ def gen_experiment_model(
 
 def _experiment_terms(g: CausalGraph, beta: int, r: float, seed, scale: float):
     """The terms of `gen_experiment_model` as the store's (owner, coeff,
-    size, raw). A function of its own so that the subset and power
-    temporaries are freed before the store is built."""
+    size, raw) in (size, owner, subset) order, in a function of its own so
+    that the subset and power temporaries are freed before the store."""
     beta = _check_order(beta, "beta")
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")

@@ -11,7 +11,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .design import Design
-from .estimators import _check_lengths, snipe_weights
+from .estimators import _check_lengths, _finite, snipe_weights
 from .graph import CausalGraph
 from .outcomes import OutcomesModel
 
@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 
+@_finite
 def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Design) -> float:
     """Deterministic worst-case variance bound
 
@@ -32,16 +33,9 @@ def worst_case_variance_bound(g: CausalGraph, model: OutcomesModel, design: Desi
     with p the design's probability floor and Ymax the largest per-unit
     l1 coefficient norm (so |Y_i(z)| <= Ymax for every assignment). A
     bound past float64 range is a ValueError, not an inf."""
-    p = design.p_floor
-    beta = model.beta
+    p, beta = design.p_floor, model.beta
     inner = math.e * g.d_in / beta * max(4.0 * beta * beta, 1.0 / (p * (1.0 - p)))
-    try:
-        bound = g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
-    except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ValueError(f"worst_case_variance_bound: the bound overflows float64 at p={p!r}, beta={beta}")
-    return bound
+    return g.d_in * g.d_out * model.y_max() ** 2 / g.n * inner**beta
 
 
 _shared_cache: "weakref.WeakKeyDictionary[CausalGraph, tuple]" = weakref.WeakKeyDictionary()
@@ -79,6 +73,7 @@ def _shared_index(g: CausalGraph) -> tuple:
     return cached
 
 
+@_finite
 def conservative_variance(g: CausalGraph, Y, z, design: Design, beta: int):
     """Single-draw conservative variance estimate for snipe_tte.
 

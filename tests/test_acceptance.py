@@ -38,6 +38,8 @@ from snipe.oracle import enumerate_assignments, exact_moments, exact_product_exp
 
 from _util import graph_from_neighbors, random_design, random_graph, random_model
 
+pytestmark = pytest.mark.slow
+
 LOGGER = logging.getLogger("acceptance")
 
 # benchmark coefficient magnitude that reproduces the published variance

@@ -197,6 +197,58 @@ def test_estimate_past_float64_range_is_a_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "p, extra, message",
+    [
+        ("1e-300", [], "snipe_tte: the result overflows float64"),
+        ("1e-120", ["--report", "{report}"], "conservative_variance: the result overflows float64"),
+    ],
+    ids=["estimate", "report"],
+)
+def test_estimate_never_prints_inf_or_writes_nan(tmp_path, capsys, p, extra, message):
+    graph, zfile, yfile, report = (tmp_path / f for f in ("graph.json", "z.csv", "y.csv", "report.csv"))
+    main(["gen-graph", "--n", "200", "--p-edge", "0.05", "--seed", "1", "--out", str(graph)])
+    zfile.write_text(",".join(["1"] * 3 + ["0"] * 197) + "\n")
+    yfile.write_text(",".join(["1.5"] * 200) + "\n")
+    args = ["estimate", "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile),
+            "--p", p, "--estimator", "snipe", "--beta", "2", *(a.format(report=report) for a in extra)]
+    capsys.readouterr()
+    assert main(args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert message in err and "inf" not in out and "nan" not in out
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("est", ["snipe", "snipe-uniform", "ht", "dm", "dm-thresh", "ls-num", "ls-prop",
+                                 "snipe-ate", "snipe-cate", "snipe-te"])
+def test_estimate_report_is_only_for_the_snipe_total_effect(tmp_path, capsys, est):
+    # the report's variance is SNIPE's: for another estimator it would put
+    # the wrong variance around that estimator's estimate
+    graph, zfile, yfile, demo, report = (
+        tmp_path / f for f in ("graph.json", "z.csv", "y.csv", "demo.txt", "report.csv")
+    )
+    main(["gen-graph", "--n", "200", "--d-expect", "6", "--seed", "3", "--out", str(graph)])
+    main(["sample", "--n", "200", "--p", "0.3", "--seed", "2", "--out", str(zfile)])
+    Y = np.random.default_rng(0).uniform(0, 2, 200)
+    yfile.write_text(",".join(format(v, ".17g") for v in Y) + "\n")
+    demo.write_text("\n".join(str(i) for i in range(0, 200, 3)))
+    capsys.readouterr()
+    code = main(["estimate", "--graph", str(graph), "--outcomes", str(yfile), "--treatment", str(zfile),
+                 "--p", "0.3", "--estimator", est, "--beta", "2", "--demographic-file", str(demo),
+                 "--report", str(report)])
+    if est in ("snipe", "snipe-uniform"):
+        assert code == EXIT_OK
+        from snipe import conservative_variance, load_graph, uniform_design
+
+        g, z = load_graph(graph), load_treatment(zfile, 200)
+        fields = report.read_text().strip().splitlines()[1].split(",")
+        assert float(fields[2]) == conservative_variance(g, Y, z, uniform_design(200, 0.3), 2)
+    else:
+        assert code == EXIT_VALIDATION
+        assert f"--report gives the variance of snipe and snipe-uniform only, not of {est}" in capsys.readouterr().err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["estimate", "--design-file", "{design}", "--estimator", "snipe-uniform"],

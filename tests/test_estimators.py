@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -664,7 +665,34 @@ def test_uniform_fast_path_past_float64_range_is_a_value_error(p):
 
 def test_uniform_fast_path_just_inside_float64_range_is_unchanged():
     g, model, z = overflow_instance()
-    assert snipe_tte_uniform(g, evaluate(model, z), z, 1e-100, 2) == 9.295337861530803e197
+    assert snipe_tte_uniform(g, evaluate(model, z), z, 1e-100, 2) == 9.295337861530806e197
+
+
+@pytest.mark.parametrize("ignore_warnings", [False, True], ids=["warnings-raised", "warnings-ignored"])
+@pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-160])
+def test_snipe_past_float64_range_is_a_value_error(p, ignore_warnings):
+    # the same error whatever the warnings filter: never an inf or a RuntimeWarning
+    g, model, z = overflow_instance()
+    Y, d = evaluate(model, z), uniform_design(200, p)
+    with warnings.catch_warnings():
+        if ignore_warnings:
+            warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="snipe_tte: .*overflows float64"):
+            snipe_tte(g, Y, z, d, 2)
+        with pytest.raises(ValueError, match="snipe_te_alpha: .*overflows float64"):
+            snipe_te_alpha(g, Y, z, d, 2, 2)
+        with pytest.raises(ValueError, match="snipe_tte: .*overflows float64"):
+            snipe_tte(g, np.stack([Y, Y]), np.stack([z, z]), d, 2)  # a batch, too
+        assert math.isfinite(snipe_te_alpha(g, Y, z, d, 2, 1))
+
+
+@pytest.mark.parametrize("p", [1e-120, 1e-100, 1e-20])
+def test_snipe_just_inside_float64_range_is_unchanged(p):
+    g, model, z = overflow_instance()
+    Y, d = evaluate(model, z), uniform_design(200, p)
+    w = snipe_weights(g, z, d, 2)
+    assert snipe_tte(g, Y, z, d, 2) == (Y * w).mean()
+    assert snipe_te_alpha(g, Y, z, d, 2, 2) == snipe_te_alpha.__wrapped__(g, Y, z, d, 2, 2)
 
 
 _NO_SELF_LOOP = graph_from_neighbors([[0], [0]])  # node 1 reads only node 0

@@ -33,6 +33,7 @@ from snipe.harness import (
     write_experiment_csv,
     write_variance_csv,
 )
+from snipe.oracle import enumerate_assignments, exact_moments
 
 
 def _small_cfg(**overrides):
@@ -118,6 +119,28 @@ def test_no_network_effects_means_everyone_unbiased():
     for row in rows:
         se = row.rel_std / np.sqrt(row.n_used)
         assert abs(row.rel_bias) <= max(2.0 * se, 0.02), row.estimator
+
+
+def test_no_network_effects_dm_and_snipe_exactly_unbiased():
+    # the exact part of the claim above: at r = 0 each unit's outcome is
+    # c0_i + a_i z_i, so under a uniform design difference-in-means is
+    # unbiased given both groups non-empty (given the treated count, the
+    # treated set is a uniform draw), and SNIPE is unbiased outright
+    Z = enumerate_assignments(10)
+    keep = (Z.sum(axis=1) > 0) & (Z.sum(axis=1) < 10)
+    for seed in range(20):
+        g = gen_erdos_renyi(10, 0.4, self_loops=True, seed=seed)
+        for beta in (1, 2, 3):
+            model = gen_experiment_model(g, beta, 0.0, seed + 100)
+            gt = ground_truth(model)
+            Y = evaluate(model, Z)
+            for p in (0.2, 0.5):
+                d = uniform_design(10, p)
+                P = np.where(Z == 1, p, 1.0 - p).prod(axis=1)[keep]
+                dm = [P[k] * dm_tte(y, z) for k, (y, z) in enumerate(zip(Y[keep], Z[keep]))]
+                assert math.fsum(dm) / math.fsum(P) == pytest.approx(gt.tte, rel=0, abs=1e-12 * gt.y_max)
+                snipe = exact_moments(lambda Zb: snipe_tte(g, evaluate(model, Zb), Zb, d, beta), d, batch=True)
+                assert snipe.mean == pytest.approx(gt.tte, rel=0, abs=1e-12 * gt.y_max)
 
 
 def test_snipe_unbiased_at_every_sweep_point():
@@ -260,6 +283,7 @@ def test_variance_report_deterministic_and_ordered(tmp_path):
     assert row.n_draws == 80
 
 
+@pytest.mark.slow
 def test_variance_monotone_in_population_size():
     # the point estimator's variance shrinks roughly like 1/n along the
     # population sweep; allow one inversion for Monte Carlo noise

@@ -477,24 +477,23 @@ def test_terms_view_reads_the_input_back():
     rng = np.random.default_rng(43)
     g = random_graph(rng, 14, 0.4)
     terms = _random_terms(rng, g, 3)
-    # insertion order does not matter: each node's terms are stored sorted
+    # insertion order does not matter: each node's terms are stored by
+    # size, then lexicographically
     shuffled = [dict(reversed(list(tmap.items()))) for tmap in terms]
     m = OutcomesModel(3, shuffled, g)
     assert all(np.array_equal(a, b) for a, b in zip(_model_arrays(m), _model_arrays(OutcomesModel(3, terms, g))))
     assert len(m.terms) == g.n
     for i, tmap in enumerate(m.terms):
         assert tmap == {(): 0.0, **terms[i]}  # a node without a constant reads back 0.0
-        assert list(tmap) == sorted(tmap)
+        assert list(tmap) == sorted(tmap, key=lambda S: (len(S), S))
     m.terms[0][()] = 99.0  # a fresh dict: the model is unchanged
     assert m.terms[0][()] == terms[0].get((), 0.0)
 
 
-def test_store_sorts_two_word_keys_like_tuples():
-    # the store packs (owner, member + 1, ..., 0) in base n + 1 into int64
-    # words; at n=300 a 9-member term has 10 digits and 301**10 > 2**63, so
-    # its key takes two words. Each node holds every prefix of a 9-member
-    # subset, which differ only in the second word, plus random subsets.
-    assert 301**10 > 2**63
+def test_store_orders_shuffled_terms_by_owner_size_subset():
+    # each node holds every prefix of a 9-member subset plus random subsets,
+    # given in shuffled order; the store keeps them by owner, then size,
+    # then lexicographically
     rng = np.random.default_rng(44)
     n = 300
     nbrs = [sorted(rng.choice(n, 12, replace=False).tolist()) for _ in range(n)]
@@ -508,11 +507,13 @@ def test_store_sorts_two_word_keys_like_tuples():
         rng.shuffle(keys)
         terms.append({S: float(rng.normal()) for S in keys})
     m = OutcomesModel(9, terms, g)
-    expected = sorted((i, S) for i, tmap in enumerate(terms) for S in tmap if S)
+    expected = sorted((i, len(S), S) for i, tmap in enumerate(terms) for S in tmap if S)
     owner = np.repeat(np.arange(n), np.diff(m.node_off)).tolist()
     ind, ptr = m.incidence.indices.tolist(), m.incidence.indptr.tolist()
-    assert list(zip(owner, (tuple(ind[a:b]) for a, b in zip(ptr, ptr[1:])))) == expected
-    assert m.coeffs.tolist() == [terms[i][S] for i, S in expected]
+    subsets = [tuple(ind[a:b]) for a, b in zip(ptr, ptr[1:])]
+    assert list(zip(owner, map(len, subsets), subsets)) == expected
+    assert m.sizes.tolist() == [k for _, k, _ in expected]
+    assert m.coeffs.tolist() == [terms[i][S] for i, _, S in expected]
     assert m.const.tolist() == [tmap[()] for tmap in terms]
 
 
@@ -617,7 +618,9 @@ def test_model_file_matches_its_literal_terms(tmp_path):
     nodes = json.loads(path.read_text())["nodes"]
     assert [node["i"] for node in nodes] == list(range(g.n))
     for node, tmap in zip(nodes, m.terms):
-        assert [(tuple(t["subset"]), t["coeff"]) for t in node["terms"]] == sorted(tmap.items())
+        assert [(tuple(t["subset"]), t["coeff"]) for t in node["terms"]] == sorted(
+            tmap.items(), key=lambda kv: (len(kv[0]), kv[0])
+        )
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,24 @@ def test_bound_just_inside_float64_range_is_unchanged():
     assert worst_case_variance_bound(g, model, uniform_design(200, 1e-100)) == 3.5982757410680535e204
 
 
+@pytest.mark.parametrize("ignore_warnings", [False, True], ids=["warnings-raised", "warnings-ignored"])
+@pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-160, 1e-120, 1e-100])
+def test_conservative_variance_past_float64_range_is_a_value_error(p, ignore_warnings):
+    g, model, z = overflow_instance()
+    with warnings.catch_warnings():
+        if ignore_warnings:
+            warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="conservative_variance: .*overflows float64"):
+            conservative_variance(g, evaluate(model, z), z, uniform_design(200, p), 2)
+
+
+def test_conservative_variance_just_inside_float64_range_is_unchanged():
+    g, model, z = overflow_instance()
+    args = (g, evaluate(model, z), z, uniform_design(200, 1e-20), 2)
+    assert conservative_variance(*args) == conservative_variance.__wrapped__(*args)
+    assert math.isfinite(conservative_variance(*args))
+
+
 def test_bound_linear_simplification():
     # whenever 1/(p(1-p)) >= 4 (always), the order-1 bound reduces to
     # e d_in^2 d_out Ymax^2 / (n p (1-p))
